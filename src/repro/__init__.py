@@ -10,8 +10,9 @@ GMRES:
   and the robust projected least-squares policies (:mod:`repro.core`);
 * a fault-injection framework implementing the paper's single-transient-SDC
   methodology and its generalizations (:mod:`repro.faults`);
-* a parallel campaign execution engine with serial/thread/process backends
-  and deterministic result ordering (:mod:`repro.exec`);
+* a campaign execution engine with serial, lockstep-batched, and
+  crash-supervised sharded backends and deterministic result ordering
+  (:mod:`repro.exec`);
 * experiment drivers that regenerate every table and figure of the paper's
   evaluation (:mod:`repro.experiments`);
 * a config-first public API: typed JSON-round-trippable specs
@@ -76,7 +77,7 @@ from repro.faults import (
     FaultCampaign,
     sweep_injection_locations,
 )
-from repro.exec import CampaignExecutor, ProblemFactory, TrialSpec
+from repro.exec import CampaignExecutor, TrialSpec
 from repro.precond import (
     IdentityPreconditioner,
     JacobiPreconditioner,
@@ -145,9 +146,8 @@ __all__ = [
     "Sandbox",
     "FaultCampaign",
     "sweep_injection_locations",
-    # parallel execution engine
+    # campaign execution engine
     "CampaignExecutor",
-    "ProblemFactory",
     "TrialSpec",
     # config-first public API
     "api",

@@ -54,15 +54,14 @@ CAMPAIGN_FIELD_PROBES: dict[str, Any] = {
     "stride": 2,
     "locations": (1, 2),
     "solver": {"method": "ft_gmres", "tol": 1e-9},
-    "exec": {"backend": "thread"},
+    "exec": {"backend": "sharded"},
 }
 
 #: A valid ExecutionSpec construction exercising each knob — none of these
 #: may change the fingerprint (execution is excluded wholesale).
 EXEC_FIELD_PROBES: dict[str, dict[str, Any]] = {
-    "backend": {"backend": "thread"},
+    "backend": {"backend": "sharded"},
     "workers": {"workers": 3},
-    "chunksize": {"workers": 2, "chunksize": 7},
     "batch_size": {"batch_size": 9},
     "kernels": {"kernels": "numpy"},
     "trial_timeout": {"trial_timeout": 12.5},

@@ -36,6 +36,7 @@ from __future__ import annotations
 from typing import Any, Callable, Iterator
 
 from repro.core.status import NestedSolverResult, SolverResult
+from repro.exec.executor import resolve_backend
 from repro.faults.campaign import CampaignResult, FaultCampaign, TrialRecord
 from repro.registry import ResolveContext, registry, resolve_problem, resolve_sink
 from repro.results.events import ensure_sink
@@ -129,7 +130,11 @@ def run_campaign(problem: Any = None, spec: Any = None, *,
         ``<store>/<run_id>/trials.jsonl`` (flushed per trial), under a
         manifest carrying the full spec, its hash, the problem seed, and the
         repro version.  A crash at trial N loses at most the trial being
-        written.
+        written.  A run whose backend resolves to ``"sharded"`` (explicitly,
+        through ``shards``, or through ``workers > 1`` / ``REPRO_WORKERS``)
+        has each shard worker append to its own
+        ``<store>/<run_id>/shard-<k>/trials.jsonl`` instead; the shards are
+        merged into the flat layout once the run completes.
     run_id : str, optional
         Name of the stored run.  Defaults to
         ``"<problem name>-<fingerprint8>"`` — deterministic in (spec,
@@ -143,11 +148,10 @@ def run_campaign(problem: Any = None, spec: Any = None, *,
         zero new solves.  ``resume=True`` on a run that does not exist yet
         simply starts it.
     chaos : ChaosPolicy, optional
-        Infrastructure fault injection for the supervised backends
-        (``"sharded"``, and ``"process"`` with a ``trial_timeout``) — test
-        and CI instrumentation that kills/hangs shard workers and tears
-        store appends (see :mod:`repro.faults.chaos`).  Ignored by the
-        unsupervised backends.
+        Infrastructure fault injection for the supervised ``"sharded"``
+        backend — test and CI instrumentation that kills/hangs shard
+        workers and tears store appends (see :mod:`repro.faults.chaos`).
+        Ignored by the single-process backends.
 
     Returns
     -------
@@ -190,10 +194,11 @@ def iter_trials(problem: Any = None, spec: Any = None,
     """Stream a campaign's trial records as the backends complete them.
 
     A lazy generator over the serial backend (each record is yielded before
-    the next trial starts); windowed over the thread/process/batched
-    backends (records arrive per completed chunk/batch, in completion
-    order).  Each record is provenance-stamped.  Closing the generator early
-    shuts the execution backend down cleanly.
+    the next trial starts); per completed batch over the batched backend
+    and per durable shard append over the sharded backend (records arrive
+    in completion order).  Each record is provenance-stamped.  Closing the
+    generator early shuts the execution backend down cleanly (shard workers
+    are killed; a storeless run's temporary shard stores are removed).
 
     Arguments are as for :func:`run_campaign` (minus the store/observer
     machinery — for persistent streaming, use ``run_campaign(store=...)``;
@@ -298,9 +303,10 @@ def _run_stored_campaign(campaign: FaultCampaign, spec: CampaignSpec,
     done_indices = {index for index, _ in completed}
     remaining = [s for s in plan.specs if s.index not in done_indices]
 
-    sharded = (spec.exec.backend == "sharded" or
-               (spec.exec.backend is None and spec.exec.shards is not None))
-    if remaining and sharded:
+    backend = resolve_backend(spec.exec.backend, spec.exec.workers,
+                              batch_size=spec.exec.batch_size,
+                              shards=spec.exec.shards)
+    if remaining and backend == "sharded":
         # Supervised execution: the shard workers persist their own records
         # durably (crash-survivably) into <run>/shard-<k>/ — a flat writer
         # here would double-store every trial.  The manifest still goes

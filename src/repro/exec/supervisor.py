@@ -1,13 +1,15 @@
-"""Crash-supervised sharded campaign execution.
+"""Crash-supervised sharded campaign execution — the multi-process backend.
 
-The pool backends in :mod:`repro.exec.executor` assume cooperative workers:
-a worker that segfaults, is OOM-killed, or wedges inside a sparse kernel
-takes the whole campaign down with it, and ``trial_timeout`` can only be
-checked *after* a trial finishes.  This module supervises instead of
-trusting:
+A worker that segfaults, is OOM-killed, or wedges inside a sparse kernel
+must not take the whole campaign down with it, and ``trial_timeout`` must
+be enforceable *while* a trial runs, not only after it finishes.  This
+module supervises instead of trusting:
 
 * the trial list is partitioned into ``shards`` contiguous blocks
-  (:func:`partition_shards`), each run by a dedicated worker **process**;
+  (:func:`partition_shards`), each run by a dedicated worker **process**
+  forked from the caller, so it inherits the caller's built
+  :class:`~repro.faults.campaign.FaultCampaign` (problem, detector, fault
+  models, solver parameters) instead of rebuilding it;
 * every worker appends finished trials to its own durable shard store
   (``<run_dir>/shard-<k>/trials.jsonl`` — the exact line format of the flat
   :class:`~repro.results.store.RunStore` layout, so shard stores merge on
@@ -108,8 +110,7 @@ def read_heartbeat(path: str) -> dict | None:
 # ---------------------------------------------------------------------- #
 # the worker (module level so it works under any start method)
 # ---------------------------------------------------------------------- #
-def _shard_worker(config, specs, shard_dir: str, provenance, retries,
-                  chaos) -> None:
+def _shard_worker(campaign, specs, shard_dir: str, retries, chaos) -> None:
     """Run one shard's trials, appending each to the shard's trial file.
 
     Per trial: refresh the heartbeat (the supervisor's liveness/timeout
@@ -125,9 +126,6 @@ def _shard_worker(config, specs, shard_dir: str, provenance, retries,
         drain["requested"] = True
 
     signal.signal(signal.SIGTERM, _on_term)
-    campaign = config.build_campaign()
-    if provenance:
-        campaign.provenance.update(provenance)
     trial_path = os.path.join(shard_dir, _TRIALS)
     heartbeat_path = os.path.join(shard_dir, _HEARTBEAT)
     done = 0
@@ -201,8 +199,10 @@ class ShardedSupervisor:
 
     Parameters
     ----------
-    config : CampaignConfig
-        The picklable campaign snapshot each worker rebuilds.
+    campaign : FaultCampaign
+        The built campaign; forked workers inherit it (with its provenance
+        stamps) and the supervisor builds its hard-timeout and poison error
+        records from it.
     shards : int
         Worker-process count (capped at the number of specs).
     max_retries : int, optional
@@ -212,7 +212,7 @@ class ShardedSupervisor:
         Supervisor poll cadence in seconds (default
         :data:`DEFAULT_HEARTBEAT_INTERVAL`).
     trial_timeout : float, optional
-        Hard per-trial budget; defaults to ``config.trial_timeout``.  A
+        Hard per-trial budget; defaults to ``campaign.trial_timeout``.  A
         worker whose heartbeat shows its current trial past the budget is
         SIGKILL-ed and the trial recorded as a hard-timeout error.
     run_dir : str, optional
@@ -220,24 +220,21 @@ class ShardedSupervisor:
         or an ephemeral temp dir when omitted).
     chaos : ChaosPolicy, optional
         Infrastructure fault injection (:mod:`repro.faults.chaos`).
-    provenance : dict, optional
-        Provenance stamps (``repro_version``/``seed``/``spec_hash``) for
-        worker- and supervisor-produced records.
     on_state : callable, optional
         ``on_state({"retries": ..., "quarantined": ...})`` fired whenever
         retry/quarantine bookkeeping changes (persisted into the manifest
         by the run store).
     """
 
-    def __init__(self, config, *, shards: int, max_retries: int | None = None,
+    def __init__(self, campaign, *, shards: int, max_retries: int | None = None,
                  heartbeat_interval: float | None = None,
                  trial_timeout: float | None = None,
-                 run_dir: str | None = None, chaos=None, provenance=None,
-                 on_state=None, backoff_base: float = 0.05,
-                 backoff_cap: float = 2.0, drain_grace: float = 10.0):
+                 run_dir: str | None = None, chaos=None, on_state=None,
+                 backoff_base: float = 0.05, backoff_cap: float = 2.0,
+                 drain_grace: float = 10.0):
         if shards <= 0:
             raise ValueError(f"shards must be positive, got {shards}")
-        self.config = config
+        self.campaign = campaign
         self.shards = int(shards)
         self.max_retries = (DEFAULT_MAX_RETRIES if max_retries is None
                             else int(max_retries))
@@ -250,11 +247,10 @@ class ShardedSupervisor:
         if self.heartbeat_interval <= 0:
             raise ValueError(f"heartbeat_interval must be positive, "
                              f"got {self.heartbeat_interval}")
-        self.trial_timeout = (config.trial_timeout if trial_timeout is None
+        self.trial_timeout = (campaign.trial_timeout if trial_timeout is None
                               else trial_timeout)
         self.run_dir = run_dir
         self.chaos = chaos
-        self.provenance = dict(provenance or {})
         self.on_state = on_state
         self.backoff_base = float(backoff_base)
         self.backoff_cap = float(backoff_cap)
@@ -266,8 +262,8 @@ class ShardedSupervisor:
         self._drain_requested = False
         self._drain_signal = False
         try:
-            # fork: workers inherit the built config cheaply; fall back to
-            # the platform default where fork is unavailable.
+            # fork: workers inherit the built campaign; fall back to the
+            # platform default (which pickles it) where fork is unavailable.
             self._mp = multiprocessing.get_context("fork")
         except ValueError:  # pragma: no cover - non-POSIX platforms
             self._mp = multiprocessing.get_context()
@@ -387,8 +383,7 @@ class ShardedSupervisor:
         retries = {index: count for index, count in self.retries.items()}
         shard.proc = self._mp.Process(
             target=_shard_worker,
-            args=(self.config, pending, shard.dir, self.provenance, retries,
-                  chaos),
+            args=(self.campaign, pending, shard.dir, retries, chaos),
             daemon=True,
         )
         shard.proc.start()
@@ -543,43 +538,13 @@ class ShardedSupervisor:
     def _append_error(self, shard: _Shard, spec, message: str,
                       retries: int = 0):
         """Append a supervisor-produced error record; yield it via the tail."""
-        record = self._make_error_record(spec, message, retries=retries)
+        record = self.campaign.stamp(
+            self.campaign.error_record(spec, message, retries=retries))
         row = {"index": int(spec.index), **record.to_dict()}
         with open(shard.trial_path, "ab") as handle:
             handle.write((json.dumps(row) + "\n").encode("utf-8"))
             handle.flush()
         yield from self._collect(shard)
-
-    def _make_error_record(self, spec, message: str, retries: int = 0):
-        """A sentinel ``status="error"`` record (hard timeout / poison).
-
-        Mirrors ``FaultCampaign._error_record`` — built supervisor-side
-        because the campaign object lives in the (dead) worker.
-        """
-        from repro.faults.campaign import TrialRecord
-
-        model = self.config.fault_classes.get(spec.fault_class)
-        record = TrialRecord(
-            fault_class=spec.fault_class,
-            fault_description=(model.describe() if model is not None
-                               else spec.fault_class),
-            aggregate_inner_iteration=int(spec.aggregate_inner_iteration),
-            mgs_position=self.config.mgs_position,
-            outer_iterations=-1,
-            total_inner_iterations=-1,
-            converged=False,
-            status="error",
-            residual_norm=float("nan"),
-            faults_injected=0,
-            faults_detected=0,
-            detector_enabled=self.config.detector is not None,
-            elapsed=0.0,
-            error=str(message),
-            retries=int(retries),
-        )
-        if self.provenance:
-            record = dataclasses.replace(record, **self.provenance)
-        return record
 
     # ------------------------------------------------------------------ #
     # drain

@@ -46,7 +46,6 @@ def run_fault_sweep(
     progress=None,
     backend: str | None = None,
     workers: int | None = None,
-    chunksize: int | None = None,
     batch_size: int | None = None,
     sink=None,
     store=None,
@@ -60,11 +59,11 @@ def run_fault_sweep(
     keyword arguments (which mirror :class:`~repro.faults.campaign.FaultCampaign`,
     defaults from the CampaignSpec field defaults; ``stride=1`` is the
     paper's exhaustive sweep).  Keywords override ``spec`` fields when both
-    are given.  ``backend``/``workers``/``chunksize``/``batch_size``
-    configure the execution engine (see :class:`repro.exec.CampaignExecutor`);
-    results are equivalent to a serial run for any setting (identical for
-    the parallel backends, identical counts/statuses with residuals to
-    ~1e-10 for the trial-batched backend).
+    are given.  ``backend``/``workers``/``batch_size`` configure the
+    execution engine (see :class:`repro.exec.CampaignExecutor`); results are
+    equivalent to a serial run for any setting (identical for the sharded
+    backend, identical counts/statuses with residuals to ~1e-10 for the
+    trial-batched backend).
 
     ``sink``/``store``/``run_id``/``resume`` are forwarded to
     :func:`repro.api.run_campaign`: the sweep streams lifecycle events to the
@@ -93,7 +92,7 @@ def run_fault_sweep(
     }
     overrides = {key: value for key, value in fields.items() if value is not None}
     exec_fields = {"backend": backend, "workers": workers,
-                   "chunksize": chunksize, "batch_size": batch_size}
+                   "batch_size": batch_size}
     exec_overrides = {key: value for key, value in exec_fields.items()
                       if value is not None}
     if exec_overrides:

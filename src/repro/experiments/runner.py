@@ -67,7 +67,7 @@ from repro.experiments.report import format_table
 from repro.experiments.summary import detector_comparison, summarize_campaign
 from repro.experiments.table1 import table1_rows
 from repro.gallery.problems import paper_problems
-from repro.exec.executor import BackendKnobError
+from repro.exec.executor import BACKENDS, BackendKnobError
 from repro.registry import RegistryError
 from repro.registry import names as registry_names
 from repro.registry import resolve_problem, resolve_sink
@@ -166,21 +166,20 @@ def build_parser() -> argparse.ArgumentParser:
                         dest="trial_timeout", metavar="SECONDS",
                         help="per-trial time budget: hard-enforced (stuck "
                              "worker SIGKILL-ed, trial recorded as an error, "
-                             "re-run by --resume) on the sharded and process "
-                             "backends, checked after the fact on the others")
+                             "re-run by --resume) on the sharded backend, "
+                             "checked after the fact on serial and batched")
     parser.add_argument("--workers", type=int, default=None,
-                        help="parallel workers for the sweeps (default: REPRO_WORKERS "
-                             "or 1; 0 = one per CPU)")
-    parser.add_argument("--backend", default=None,
-                        choices=["serial", "thread", "process", "batched", "sharded"],
-                        help="campaign execution backend (default: process when "
-                             "workers > 1, else serial).  'process' wins when spare "
-                             "CPU cores are available; 'batched' advances trials in "
-                             "lockstep through shared block kernels and is the right "
-                             "choice on single-CPU hosts, where process dispatch is "
-                             "pure overhead; 'sharded' supervises crash-isolated "
-                             "shard workers (heartbeats, hard timeouts, retries, "
-                             "poison quarantine)")
+                        help="worker processes for the sweeps (default: "
+                             "REPRO_WORKERS or 1; 0 = one per CPU); more than "
+                             "one selects the sharded backend")
+    parser.add_argument("--backend", default=None, choices=list(BACKENDS),
+                        help="campaign execution backend (default: sharded when "
+                             "workers > 1, else serial).  'sharded' supervises "
+                             "crash-isolated worker processes (heartbeats, hard "
+                             "timeouts, retries, poison quarantine) and wins when "
+                             "spare CPU cores are available; 'batched' advances "
+                             "trials in lockstep through shared block kernels and "
+                             "is the right choice on single-CPU hosts")
     parser.add_argument("--batch-size", type=int, default=None, dest="batch_size",
                         help="trials advanced in lockstep per batch "
                              "(batched backend only; default 32)")

@@ -389,12 +389,6 @@ class FaultCampaign:
         self.trial_timeout = float(trial_timeout) if trial_timeout is not None else None
         self.detector_response = (detector_response if detector_response is not None
                                   else _DEFAULTS.detector_response)
-        # Keep the constructor *specifications* so worker processes can
-        # rebuild an equivalent campaign (see to_config).
-        self._detector_spec = detector
-        self._inner_params_spec = inner_params
-        self._outer_params_spec = outer_params
-
         self.detector = resolve_detector(detector, A=problem.A)
 
         inner = inner_params or GMRESParameters(tol=0.0, maxiter=self.inner_iterations)
@@ -536,9 +530,9 @@ class FaultCampaign:
         Vector-site corruption (``spmv``/``precond``/``orth``/``basis``)
         picks the corrupted element from the injector's rng.  Seeding that
         rng from the campaign seed and the trial's sweep location makes
-        vector-site campaigns trial-identical across the serial, thread,
-        process, and batched backends — and across reruns, which is what the
-        store's resume contract requires.
+        vector-site campaigns trial-identical across the serial, batched,
+        and sharded backends — and across reruns, which is what the store's
+        resume contract requires.
         """
         seed = self.provenance.get("seed")
         entropy = (0 if seed is None else int(seed) & 0xFFFFFFFF,
@@ -550,9 +544,9 @@ class FaultCampaign:
                    aggregate_inner_iteration: int) -> TrialRecord:
         """Run one faulted nested solve and summarize it as a TrialRecord.
 
-        The trial's wall time is measured here — inside the worker, for the
-        pool backends — so ``TrialRecord.elapsed`` means the same thing on
-        every backend.
+        The trial's wall time is measured here — inside the shard worker, on
+        the sharded backend — so ``TrialRecord.elapsed`` means the same thing
+        on every backend.
         """
         injector = self._trial_injector(model, aggregate_inner_iteration)
         timer = Timer()
@@ -580,12 +574,15 @@ class FaultCampaign:
         return self.run_single(spec.fault_class, self._model_for(spec.fault_class),
                                spec.aggregate_inner_iteration)
 
-    def _error_record(self, spec, message: str, elapsed: float) -> TrialRecord:
+    def error_record(self, spec, message: str, *, elapsed: float = 0.0,
+                     retries: int = 0) -> TrialRecord:
         """A ``status="error"`` record for a crashed or quarantined trial.
 
         The payload fields are sentinels (``-1`` iterations, NaN residual):
         an error record marks a casualty to be re-run, not a measurement —
-        the run store's resume logic treats its index as missing.
+        the run store's resume logic treats its index as missing.  The
+        sharded supervisor builds its hard-timeout and poison records here
+        too, with the worker crashes survived as ``retries``.
         """
         model = self.fault_classes.get(spec.fault_class)
         return TrialRecord(
@@ -604,6 +601,7 @@ class FaultCampaign:
             detector_enabled=self.detector is not None,
             elapsed=float(elapsed),
             error=str(message),
+            retries=int(retries),
         )
 
     def run_spec_safe(self, spec) -> TrialRecord:
@@ -611,8 +609,8 @@ class FaultCampaign:
 
         A trial whose solve raises — a ``raise``-response detector, a fault
         model that explodes, a kernel bug — becomes a ``status="error"``
-        record instead of killing the whole campaign (and, on the pool
-        backends, every other trial sharing its worker).  A trial that
+        record instead of killing the whole campaign (and, on the sharded
+        backend, every other trial sharing its worker).  A trial that
         finishes but blew the campaign's ``trial_timeout`` is quarantined
         the same way.  The execution backends all route through here, so
         error semantics are backend-independent.
@@ -622,8 +620,8 @@ class FaultCampaign:
             with timer:
                 record = self.run_spec(spec)
         except Exception as exc:  # noqa: BLE001 - the whole point is isolation
-            return self._error_record(
-                spec, f"{type(exc).__name__}: {exc}", timer.elapsed)
+            return self.error_record(
+                spec, f"{type(exc).__name__}: {exc}", elapsed=timer.elapsed)
         if self.trial_timeout is not None and record.elapsed > self.trial_timeout:
             return dataclasses.replace(
                 record,
@@ -686,7 +684,7 @@ class FaultCampaign:
         if reason is not None:
             raise ValueError(
                 f"campaign configuration not supported by the batched backend "
-                f"({reason}); use backend='serial' (or 'process')")
+                f"({reason}); use backend='serial' (or 'sharded')")
         specs = list(specs)
         if batch_size is None:
             from repro.exec.executor import DEFAULT_BATCH_SIZE
@@ -747,60 +745,9 @@ class FaultCampaign:
                     )
                 yield spec.index, record
 
-    def run_specs_batched(self, specs, *, batch_size: int | None = None,
-                          progress=None, progress_offset: int = 0,
-                          progress_total: int | None = None) -> list[TrialRecord]:
-        """Run trial specs through the lockstep batched engine.
-
-        The list-returning wrapper around :meth:`iter_specs_batched`:
-        records come back ordered by ``spec.index`` (the canonical order),
-        with ``progress(done, total)`` fired as trials complete.
-        """
-        specs = list(specs)
-        total = progress_total if progress_total is not None else len(specs)
-        done = progress_offset
-        records: list[tuple[int, TrialRecord]] = []
-        for index, record in self.iter_specs_batched(specs, batch_size=batch_size):
-            records.append((index, record))
-            done += 1
-            if progress is not None:
-                progress(done, total)
-        records.sort(key=lambda pair: pair[0])
-        return [record for _, record in records]
-
     # ------------------------------------------------------------------ #
     # execution-engine integration
     # ------------------------------------------------------------------ #
-    def to_config(self, problem_factory=None):
-        """Snapshot this campaign as a picklable executor configuration.
-
-        Parameters
-        ----------
-        problem_factory : ProblemFactory, optional
-            When given, workers rebuild the problem from the factory instead
-            of unpickling the matrix (see :class:`repro.exec.spec.ProblemFactory`).
-        """
-        from repro.exec.spec import CampaignConfig
-
-        return CampaignConfig(
-            problem=None if problem_factory is not None else self.problem,
-            problem_factory=problem_factory,
-            inner_iterations=self.inner_iterations,
-            max_outer=self.max_outer,
-            outer_tol=self.outer_tol,
-            fault_classes=dict(self.fault_classes),
-            mgs_position=self.mgs_position,
-            detector=self._detector_spec,
-            detector_response=self.detector_response,
-            site=self.site,
-            inner_params=self._inner_params_spec,
-            outer_params=self._outer_params_spec,
-            kernels=self.kernels,
-            fault_rate=self.fault_rate,
-            fault_persistence=self.fault_persistence,
-            trial_timeout=self.trial_timeout,
-        )
-
     def trial_specs(self, locations) -> list:
         """The campaign's work list in canonical (serial) order."""
         from repro.exec.spec import TrialSpec
@@ -859,8 +806,8 @@ class FaultCampaign:
 
     def run_plan(self, plan: "CampaignPlan", *, specs=None, progress=None,
                  sink=None, backend: str | None = None,
-                 workers: int | None = None, chunksize: int | None = None,
-                 batch_size: int | None = None, executor=None,
+                 workers: int | None = None, batch_size: int | None = None,
+                 executor=None,
                  on_record=None, completed=(), event_data: dict | None = None,
                  **executor_kwargs) -> CampaignResult:
         """Execute (the remainder of) a plan and assemble the result.
@@ -902,8 +849,7 @@ class FaultCampaign:
         if todo:
             for index, record in self.iter_records(
                     todo, executor=executor, backend=backend, workers=workers,
-                    chunksize=chunksize, batch_size=batch_size,
-                    **executor_kwargs):
+                    batch_size=batch_size, **executor_kwargs):
                 if on_record is not None:
                     on_record(index, record)
                 pairs.append((index, record))
@@ -922,12 +868,13 @@ class FaultCampaign:
         return result
 
     def iter_records(self, specs, *, executor=None, backend: str | None = None,
-                     workers: int | None = None, chunksize: int | None = None,
-                     batch_size: int | None = None, **executor_kwargs):
+                     workers: int | None = None, batch_size: int | None = None,
+                     **executor_kwargs):
         """Stream provenance-stamped ``(index, record)`` pairs as trials finish.
 
-        Completion order (lazy over serial, windowed over the pool and
-        batched backends); the caller reassembles canonical order by index.
+        Completion order (lazy over serial, per batch over batched, per
+        durable shard append over sharded); the caller reassembles canonical
+        order by index.
         This is the one execution path under :meth:`run`,
         :func:`repro.api.iter_trials`, and the run store's incremental
         checkpointing.
@@ -936,15 +883,14 @@ class FaultCampaign:
 
         if executor is None:
             executor = CampaignExecutor(self, backend=backend, workers=workers,
-                                        chunksize=chunksize, batch_size=batch_size,
-                                        **executor_kwargs)
+                                        batch_size=batch_size, **executor_kwargs)
         for index, record in executor.iter_records(specs):
             yield index, self.stamp(record)
 
     def run(self, locations=None, stride: int = 1, progress=None, *,
             backend: str | None = None, workers: int | None = None,
-            chunksize: int | None = None, batch_size: int | None = None,
-            executor=None, sink=None, **executor_kwargs) -> CampaignResult:
+            batch_size: int | None = None, executor=None, sink=None,
+            **executor_kwargs) -> CampaignResult:
         """Run the full campaign.
 
         Parameters
@@ -961,23 +907,22 @@ class FaultCampaign:
             ``progress(done, total)`` callback (a thin adapter over the
             event bus: equivalent to a ``sink`` observing only
             ``trial_completed`` events).
-        backend : {"serial", "thread", "process", "batched", "sharded"}, optional
-            Execution backend; ``None`` auto-selects ``process`` when the
-            resolved worker count exceeds 1.  ``"batched"`` advances trials
-            in lockstep through shared block kernels in this process — the
-            right choice on single-CPU hosts, where process dispatch is pure
-            overhead.  ``"sharded"`` runs crash-supervised worker processes
-            (see :class:`repro.exec.supervisor.ShardedSupervisor`).
+        backend : {"serial", "batched", "sharded"}, optional
+            Execution backend; ``None`` auto-selects (see
+            :func:`repro.exec.executor.resolve_backend`): ``"sharded"`` when
+            the resolved worker count exceeds 1.  ``"batched"`` advances
+            trials in lockstep through shared block kernels in this process
+            — the right choice on single-CPU hosts.  ``"sharded"`` runs
+            crash-supervised worker processes forked from this one (see
+            :class:`repro.exec.supervisor.ShardedSupervisor`).
         workers : int, optional
             Worker count (default: the ``REPRO_WORKERS`` environment
             variable, then 1; ``0`` means one per CPU).
-        chunksize : int, optional
-            Trials per dispatched task (parallel backends only).
         batch_size : int, optional
             Trials advanced in lockstep per batch (batched backend only).
         executor : CampaignExecutor, optional
             A pre-built executor; overrides ``backend``/``workers``/
-            ``chunksize``/``batch_size``.
+            ``batch_size``.
         sink : EventSink, callable, or registered sink spec, optional
             Receives campaign lifecycle events (``campaign_started``,
             ``baseline_completed``, ``trial_completed`` with the record
@@ -989,18 +934,19 @@ class FaultCampaign:
             Trials appear in the canonical (fault class, location) order
             regardless of backend.  For stateless detectors and
             deterministic fault models (the paper's configuration) a
-            parallel run is trial-for-trial identical to a serial one;
+            sharded run is trial-for-trial identical to a serial one;
             components that accumulate state across trials (random bit
-            flips, :class:`NormGrowthDetector`) see per-worker history under
-            parallel backends and should be swept with ``backend="serial"``.
+            flips, :class:`NormGrowthDetector`) start each shard worker from
+            this process's post-baseline state and then see only their
+            shard's history, so sweep them with ``backend="serial"``.
         """
         from repro.registry import resolve_sink
 
         return self.run_plan(self.plan(locations=locations, stride=stride),
                              progress=progress, sink=resolve_sink(sink),
                              backend=backend, workers=workers,
-                             chunksize=chunksize, batch_size=batch_size,
-                             executor=executor, **executor_kwargs)
+                             batch_size=batch_size, executor=executor,
+                             **executor_kwargs)
 
 
 def sweep_injection_locations(
@@ -1016,7 +962,6 @@ def sweep_injection_locations(
     locations=None,
     backend: str | None = None,
     workers: int | None = None,
-    chunksize: int | None = None,
     batch_size: int | None = None,
     sink=None,
 ) -> CampaignResult:
@@ -1039,5 +984,5 @@ def sweep_injection_locations(
     )
     return campaign.run(locations=locations,
                         stride=stride if stride is not None else _DEFAULTS.stride,
-                        backend=backend, workers=workers, chunksize=chunksize,
+                        backend=backend, workers=workers,
                         batch_size=batch_size, sink=sink)

@@ -693,11 +693,10 @@ def _register_backend(name: str, *, parallel: bool,
 
 
 _register_backend("serial", parallel=False, knobs=())
-_register_backend("thread", parallel=True, knobs=("workers", "chunksize"))
-_register_backend("process", parallel=True, knobs=("workers", "chunksize"))
 _register_backend("batched", parallel=False, knobs=("batch_size",))
 _register_backend("sharded", parallel=True,
-                  knobs=("shards", "max_retries", "heartbeat_interval"))
+                  knobs=("workers", "shards", "max_retries",
+                         "heartbeat_interval"))
 
 
 def backend_knobs(name: str) -> tuple[str, ...]:

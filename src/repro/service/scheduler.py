@@ -460,6 +460,11 @@ class CampaignScheduler:
             if (record.status != "queued" or record.cancel_requested
                     or record.job_id in self._running):
                 continue
+            # Mark the job running (clearing any stale error) *before* the
+            # worker starts: a worker that fails fast writes its own error
+            # into the record, and a later transition would erase it.
+            self._transition(record.job_id, status="running",
+                             started_at=_utc_now(), error=None)
             proc = self._mp.Process(
                 target=_job_worker,
                 args=(self.jobs.store.root, record.job_id, record.run_id,
@@ -469,8 +474,7 @@ class CampaignScheduler:
             )
             proc.start()
             self._running[record.job_id] = proc
-            self._transition(record.job_id, status="running", pid=proc.pid,
-                             started_at=_utc_now(), error=None)
+            self._transition(record.job_id, pid=proc.pid)
 
     # ------------------------------------------------------------------ #
     def drain(self) -> int:

@@ -423,18 +423,34 @@ _PAPER_INNER = SolveSpec(method="gmres", tol=0.0, maxiter=25)
 # ---------------------------------------------------------------------- #
 # ExecutionSpec
 # ---------------------------------------------------------------------- #
+#: Execution backends removed in favour of the sharded supervisor.  Specs
+#: naming them are rejected (a stored manifest keeps its spec as a plain
+#: dict, so old runs stay loadable).
+_RETIRED_BACKENDS = ("thread", "process")
+
+
 @dataclass(frozen=True)
 class ExecutionSpec(_SpecBase):
     """How a campaign's independent trials are scheduled.
 
-    ``backend=None`` auto-selects (``"batched"`` when ``batch_size`` is set,
-    ``"sharded"`` when ``shards`` is set, ``"process"`` when ``workers > 1``,
-    else ``"serial"``).  Knob/backend combinations are validated *up front*
-    — ``batch_size`` only applies to the batched backend, ``workers``/
-    ``chunksize`` only to the pool backends, ``shards``/``max_retries``/
+    ``backend`` is ``"serial"``, ``"batched"`` or ``"sharded"`` (the one
+    multi-process backend).  ``backend=None`` auto-selects (``"batched"``
+    when ``batch_size`` is set, ``"sharded"`` when ``shards`` is set or
+    ``workers > 1``, else ``"serial"``; see
+    :func:`repro.exec.executor.resolve_backend`).  Knob/backend
+    combinations are validated *up front* — ``batch_size`` only applies to
+    the batched backend, ``workers``/``shards``/``max_retries``/
     ``heartbeat_interval`` only to the sharded supervisor — with errors that
     say which knob to drop or which backend to pick (see
-    :func:`repro.exec.executor.validate_backend_knobs`).
+    :func:`repro.exec.executor.validate_backend_knobs`).  The retired
+    ``"thread"`` and ``"process"`` backends, and any unknown field (such as
+    the retired pool's chunk-size knob), are rejected with a
+    :class:`SpecError` naming the field.
+
+    Sharded workers are forked from the process that built the campaign and
+    inherit it.  A stateful detector given by name (e.g. ``"norm_growth"``)
+    therefore starts every shard worker with the parent's post-baseline
+    state — like serial's first trial — rather than as a fresh instance.
 
     ``kernels`` selects the sparse kernel tier (``"numpy"``/``"scipy"``/
     ``"numba"``/``"auto"``; see :mod:`repro.sparse.kernels`).  Like every
@@ -445,18 +461,15 @@ class ExecutionSpec(_SpecBase):
 
     backend: str | None = None
     workers: int | None = None
-    chunksize: int | None = None
     batch_size: int | None = None
     kernels: str | None = None
     #: Per-trial time budget in seconds.  Enforcement depends on the backend:
-    #: the ``sharded`` supervisor (and the ``process`` backend, which routes
-    #: through it whenever a timeout is set) *hard*-enforces the budget —
-    #: a worker whose current trial exceeds it is SIGKILL-ed and the trial
-    #: recorded as ``status="error"`` — while ``serial``/``thread``/
-    #: ``batched`` only apply the soft after-the-fact check from PR 7 (the
-    #: solve is never interrupted mid-flight, so a stuck kernel still wedges
-    #: those backends).  Like every execution knob it is excluded from the
-    #: campaign fingerprint.
+    #: the ``sharded`` supervisor *hard*-enforces the budget — a worker whose
+    #: current trial exceeds it is SIGKILL-ed and the trial recorded as
+    #: ``status="error"`` — while ``serial``/``batched`` only apply the soft
+    #: after-the-fact check (the solve is never interrupted mid-flight, so a
+    #: stuck kernel still wedges those backends).  Like every execution knob
+    #: it is excluded from the campaign fingerprint.
     trial_timeout: float | None = None
     #: Shard (worker-process) count for the ``sharded`` backend.  Setting it
     #: with ``backend=None`` auto-selects ``"sharded"``.
@@ -468,13 +481,23 @@ class ExecutionSpec(_SpecBase):
     #: files (sharded backend only).
     heartbeat_interval: float | None = None
 
+    def __new__(cls, *args: Any, **kwargs: Any) -> "ExecutionSpec":
+        # An unknown keyword (e.g. a retired knob from an old script) is a
+        # SpecError naming the field, as in from_dict, rather than the
+        # dataclass constructor's bare TypeError.
+        _reject_unknown_keys(cls, kwargs, "")
+        return super().__new__(cls)
+
     def __post_init__(self) -> None:
         from repro.exec.executor import BACKENDS, validate_backend_knobs
         from repro.sparse.kernels import KERNEL_CHOICES
 
+        if self.backend in _RETIRED_BACKENDS:
+            raise SpecError("backend",
+                            f"the {self.backend!r} backend was removed; use "
+                            f"'sharded' for multi-process execution")
         _check_choice("backend", self.backend, BACKENDS, allow_none=True)
         _check_int("workers", self.workers, minimum=0, allow_none=True)
-        _check_int("chunksize", self.chunksize, minimum=1, allow_none=True)
         _check_int("batch_size", self.batch_size, minimum=1, allow_none=True)
         _check_choice("kernels", self.kernels, KERNEL_CHOICES, allow_none=True)
         _check_float("trial_timeout", self.trial_timeout, minimum=0.0, allow_none=True)
@@ -489,7 +512,6 @@ class ExecutionSpec(_SpecBase):
                             f"must be > 0, got {self.heartbeat_interval}")
         try:
             validate_backend_knobs(self.backend, workers=self.workers,
-                                   chunksize=self.chunksize,
                                    batch_size=self.batch_size,
                                    shards=self.shards,
                                    max_retries=self.max_retries,
@@ -512,7 +534,7 @@ class ExecutionSpec(_SpecBase):
     def executor_kwargs(self) -> dict[str, Any]:
         """Keyword arguments for :class:`repro.exec.executor.CampaignExecutor`."""
         return {"backend": self.backend, "workers": self.workers,
-                "chunksize": self.chunksize, "batch_size": self.batch_size,
+                "batch_size": self.batch_size,
                 "shards": self.shards, "max_retries": self.max_retries,
                 "heartbeat_interval": self.heartbeat_interval}
 

@@ -325,8 +325,8 @@ class TestJSONCampaignOnAllBackends:
 
     @pytest.mark.parametrize("backend,knobs", [
         ("serial", {}),
-        ("thread", {"workers": 2, "chunksize": 2}),
-        ("process", {"workers": 2}),
+        ("sharded", {"workers": 2}),
+        ("sharded", {"shards": 3}),
         ("batched", {"batch_size": 4}),
     ])
     def test_backend_trial_identical(self, spec_file, reference, backend, knobs):

@@ -354,14 +354,15 @@ class TestExecutorIntegration:
         with pytest.raises(ValueError):
             CampaignExecutor(detector_campaign, backend="batched", batch_size=0)
         with pytest.raises(ValueError):
-            detector_campaign.run_specs_batched(
-                detector_campaign.trial_specs([1]), batch_size=-1)
+            list(detector_campaign.iter_specs_batched(
+                detector_campaign.trial_specs([1]), batch_size=-1))
 
     def test_empty_specs(self, detector_campaign):
-        assert detector_campaign.run_specs_batched([]) == []
+        assert list(detector_campaign.iter_specs_batched([])) == []
+        assert CampaignExecutor(detector_campaign, backend="batched").run([]) == []
 
     def test_unknown_fault_class(self, detector_campaign):
         from repro.exec.spec import TrialSpec
 
         with pytest.raises(KeyError):
-            detector_campaign.run_specs_batched([TrialSpec(0, "no-such", 1)])
+            list(detector_campaign.iter_specs_batched([TrialSpec(0, "no-such", 1)]))

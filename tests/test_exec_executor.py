@@ -1,8 +1,8 @@
-"""Tests for the parallel campaign execution engine (:mod:`repro.exec`).
+"""Tests for the campaign execution engine (:mod:`repro.exec`).
 
-The engine's central promise: a parallel campaign run is trial-for-trial
+The engine's central promise: a sharded campaign run is trial-for-trial
 identical to a serial one — same :class:`TrialRecord` values, same order —
-for every backend, worker count, and chunking choice.
+for every worker and shard count.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro.exec.executor import CampaignExecutor, resolve_backend, resolve_workers
-from repro.exec.spec import CampaignConfig, ProblemFactory, TrialSpec
+from repro.exec.spec import TrialSpec
 from repro.faults.campaign import FaultCampaign
 from repro.gallery.problems import poisson_problem
 
@@ -53,81 +53,47 @@ class TestWorkerResolution:
 
     def test_backend_auto_selection(self):
         assert resolve_backend(None, 1) == "serial"
-        assert resolve_backend(None, 4) == "process"
-        assert resolve_backend("thread", 4) == "thread"
-        with pytest.raises(ValueError):
-            resolve_backend("gpu", 4)
+        assert resolve_backend(None, 4) == "sharded"
+        assert resolve_backend("serial", 4) == "serial"
+        assert resolve_backend(None, 1, shards=2) == "sharded"
+        assert resolve_backend(None, 4, batch_size=8) == "batched"
+        for retired in ("gpu", "thread", "process"):
+            with pytest.raises(ValueError):
+                resolve_backend(retired, 4)
 
-
-class TestCampaignConfig:
-    def test_round_trip(self, campaign):
-        config = campaign.to_config()
-        rebuilt = config.build_campaign()
-        assert rebuilt.inner_iterations == campaign.inner_iterations
-        assert rebuilt.mgs_position == campaign.mgs_position
-        assert rebuilt.detector is not None  # "bound" spec re-resolved
-        assert sorted(rebuilt.fault_classes) == sorted(campaign.fault_classes)
-
-    def test_exactly_one_problem_source(self, tiny_problem):
-        with pytest.raises(ValueError):
-            CampaignConfig(problem=None, problem_factory=None, inner_iterations=10,
-                           max_outer=50, outer_tol=1e-8, fault_classes={},
-                           mgs_position="first", detector=None,
-                           detector_response="zero", site="hessenberg")
-        with pytest.raises(ValueError):
-            CampaignConfig(problem=tiny_problem,
-                           problem_factory=ProblemFactory(poisson_problem, (8,)),
-                           inner_iterations=10, max_outer=50, outer_tol=1e-8,
-                           fault_classes={}, mgs_position="first", detector=None,
-                           detector_response="zero", site="hessenberg")
-
-    def test_problem_factory_build(self):
-        factory = ProblemFactory(poisson_problem, kwargs={"grid_n": 8})
-        config_problem = factory.build()
-        assert config_problem.A.shape == (64, 64)
-
-    def test_picklable(self, campaign):
-        import pickle
-
-        config = campaign.to_config()
-        clone = pickle.loads(pickle.dumps(config))
-        assert clone.inner_iterations == config.inner_iterations
-        assert clone.build_campaign().problem.name == campaign.problem.name
+    def test_backend_auto_selection_reads_repro_workers(self, monkeypatch):
+        monkeypatch.setenv("REPRO_WORKERS", "2")
+        assert resolve_backend() == "sharded"
+        assert resolve_backend(None, 1) == "serial"  # explicit beats the env
+        monkeypatch.setenv("REPRO_WORKERS", "1")
+        assert resolve_backend() == "serial"
 
 
 class TestDeterministicParallelism:
-    """The headline guarantee: parallel output == serial output, in order."""
+    """The headline guarantee: sharded output == serial output, in order."""
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_backend_matches_serial(self, campaign, serial_result, backend):
-        parallel = campaign.run(stride=11, backend=backend, workers=2)
+    def test_sharded_matches_serial(self, campaign, serial_result):
+        parallel = campaign.run(stride=11, backend="sharded", workers=2)
         assert parallel.trials == serial_result.trials
         assert parallel.failure_free_outer == serial_result.failure_free_outer
         assert parallel.failure_free_residual == serial_result.failure_free_residual
 
-    def test_single_trial_chunks_match_serial(self, campaign, serial_result):
-        """chunksize=1 maximizes reordering opportunities; order must survive."""
-        parallel = campaign.run(stride=11, backend="thread", workers=4, chunksize=1)
+    def test_more_shards_than_cpus_match_serial(self, campaign, serial_result):
+        """Many small shards maximize reordering; order must survive."""
+        parallel = campaign.run(stride=11, shards=5)
         assert parallel.trials == serial_result.trials
 
     def test_workers_env_knob_respected(self, campaign, serial_result, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "2")
-        parallel = campaign.run(stride=11, backend="thread")
-        assert parallel.trials == serial_result.trials
-
-    def test_problem_factory_workers_match_serial(self, campaign, serial_result):
-        """Workers that rebuild the problem locally must agree with serial."""
-        config = campaign.to_config(
-            problem_factory=ProblemFactory(poisson_problem, kwargs={"grid_n": 8}))
-        executor = CampaignExecutor(config, backend="process", workers=2)
-        parallel = campaign.run(stride=11, executor=executor)
+        assert CampaignExecutor(campaign).backend == "sharded"
+        parallel = campaign.run(stride=11)
         assert parallel.trials == serial_result.trials
 
 
 class TestExecutorMechanics:
     def test_progress_reaches_total(self, campaign):
         calls = []
-        campaign.run(stride=17, backend="thread", workers=2,
+        campaign.run(stride=17, backend="sharded", workers=2,
                      progress=lambda done, total: calls.append((done, total)))
         assert calls, "progress callback never fired"
         dones = [d for d, _ in calls]
@@ -149,20 +115,21 @@ class TestExecutorMechanics:
             campaign.run_spec(TrialSpec(0, "no-such-class", 1))
 
     def test_invalid_chunksize(self, campaign):
-        with pytest.raises(ValueError):
-            CampaignExecutor(campaign, chunksize=0)
+        """The pool's chunksize knob is gone from every backend."""
+        with pytest.raises(TypeError, match="chunksize"):
+            CampaignExecutor(campaign, chunksize=2)
 
     def test_batch_size_with_pool_backend_rejected(self, campaign):
         """Knobs the backend would silently ignore are errors up front."""
         with pytest.raises(ValueError, match="batch_size"):
-            CampaignExecutor(campaign, backend="process", batch_size=8)
+            CampaignExecutor(campaign, backend="sharded", batch_size=8)
 
     def test_parallel_workers_with_serial_rejected(self, campaign):
         with pytest.raises(ValueError, match="workers"):
             CampaignExecutor(campaign, backend="serial", workers=4)
 
     def test_chunksize_with_batched_rejected(self, campaign):
-        with pytest.raises(ValueError, match="chunksize"):
+        with pytest.raises(TypeError, match="chunksize"):
             CampaignExecutor(campaign, backend="batched", chunksize=2)
 
     def test_workers_one_accepted_everywhere(self, campaign):
@@ -194,7 +161,7 @@ class TestExecutorMechanics:
         """workers=0 must stay accepted even when it resolves to 1 CPU."""
         executor = CampaignExecutor(campaign, workers=0)
         assert executor.workers >= 1
-        assert executor.backend in ("serial", "process")
+        assert executor.backend in ("serial", "sharded")
 
     def test_non_campaign_config_rejected(self):
         with pytest.raises(TypeError):
@@ -210,26 +177,28 @@ class TestExecutorMechanics:
 
 
 class TestWorkerIsolation:
-    def test_built_campaigns_share_no_mutable_state(self, campaign):
-        """Each worker's campaign gets its own detector and fault models."""
-        config = campaign.to_config()
-        one = config.build_campaign()
-        two = config.build_campaign()
-        assert one.detector is not two.detector
-        for cls in one.fault_classes:
-            assert one.fault_classes[cls] is not two.fault_classes[cls]
+    def test_shard_workers_inherit_the_built_campaign(self, campaign,
+                                                      monkeypatch):
+        """Forked shard workers run the parent's campaign; none is rebuilt."""
+        specs = campaign.trial_specs([1, 26])
+        serial = CampaignExecutor(campaign).run(specs)
 
-    def test_custom_solver_params_survive_rebuild(self, tiny_problem):
-        """inner_params/outer_params must reach worker-rebuilt campaigns."""
+        def no_rebuild(*args, **kwargs):
+            raise AssertionError("a shard worker rebuilt the campaign")
+
+        monkeypatch.setattr(FaultCampaign, "__init__", no_rebuild)
+        sharded = CampaignExecutor(campaign, backend="sharded", shards=2)
+        assert sharded.run(specs) == serial
+
+    def test_custom_solver_params_reach_shard_workers(self, tiny_problem):
+        """inner_params/outer_params must reach the shard workers."""
         from repro.core.gmres import GMRESParameters
 
         custom = FaultCampaign(tiny_problem, inner_iterations=10, max_outer=50,
                                inner_params=GMRESParameters(tol=0.0, maxiter=10,
                                                             orthogonalization="cgs2"))
-        rebuilt = custom.to_config().build_campaign()
-        assert rebuilt.params.inner.orthogonalization == "cgs2"
         serial = custom.run(stride=13)
-        parallel = custom.run(stride=13, backend="process", workers=2)
+        parallel = custom.run(stride=13, backend="sharded", workers=2)
         assert parallel.trials == serial.trials
 
     def test_trial_specs_accepts_iterator(self, campaign):

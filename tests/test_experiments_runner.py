@@ -146,10 +146,17 @@ class TestSpecDrivenCLI:
 
     def test_invalid_knob_combination_rejected(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            main(["fig3", "--scale", "tiny", "--backend", "process",
+            main(["fig3", "--scale", "tiny", "--backend", "sharded",
                   "--set", "exec.batch_size=8"])
         assert excinfo.value.code == 2
         assert "batch_size" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_retired_backend_is_rejected(self, backend, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fig3", "--scale", "tiny", "--backend", backend])
+        assert excinfo.value.code == 2
+        assert backend in capsys.readouterr().err
 
     def test_unknown_detector_is_a_clean_cli_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -387,15 +387,10 @@ class TestSiteCampaignsAcrossBackends:
         assert site_campaign.run(stride=11).trials == \
             site_campaign.run(stride=11).trials
 
-    def test_thread_matches_serial(self, site_campaign):
+    def test_sharded_matches_serial(self, site_campaign):
         serial = site_campaign.run(stride=11)
-        thread = site_campaign.run(stride=11, backend="thread", workers=2)
-        assert thread.trials == serial.trials
-
-    def test_process_matches_serial(self, site_campaign):
-        serial = site_campaign.run(stride=17)
-        process = site_campaign.run(stride=17, backend="process", workers=2)
-        assert process.trials == serial.trials
+        sharded = site_campaign.run(stride=11, backend="sharded", workers=2)
+        assert sharded.trials == serial.trials
 
     @pytest.fixture(scope="class")
     def precond_campaign(self):
@@ -408,11 +403,10 @@ class TestSiteCampaignsAcrossBackends:
                 tol=0.0, maxiter=10,
                 preconditioner=JacobiPreconditioner(problem.A)))
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_precond_site_matches_serial(self, precond_campaign, backend):
+    def test_precond_site_matches_serial(self, precond_campaign):
         serial = precond_campaign.run(stride=17)
         assert all(t.faults_injected >= 1 for t in serial.trials)
-        parallel = precond_campaign.run(stride=17, backend=backend, workers=2)
+        parallel = precond_campaign.run(stride=17, backend="sharded", workers=2)
         assert parallel.trials == serial.trials
 
     def test_injections_fire_at_every_site(self, site_campaign):
@@ -502,11 +496,11 @@ class TestCrashIsolation:
             {k: v for k, v in record.to_dict().items() if k != "kind"})
         assert again.is_error and again.error == record.error
 
-    def test_thread_backend_isolates_crashes(self, tiny_problem):
+    def test_sharded_backend_isolates_crashes(self, tiny_problem):
         campaign = FaultCampaign(tiny_problem, inner_iterations=10, max_outer=30,
                                  fault_classes={"boom": ExplodingFault(),
                                                 "ok": ScalingFault(1e-300)})
-        result = campaign.run(stride=17, backend="thread", workers=2)
+        result = campaign.run(stride=17, backend="sharded", workers=2)
         by_class = {}
         for t in result.trials:
             by_class.setdefault(t.fault_class, []).append(t)
@@ -678,13 +672,3 @@ class TestSpecPlumbing:
         assert campaign.fault_rate == 2
         assert campaign.fault_persistence == "sticky"
         assert campaign.trial_timeout == 60.0
-
-    def test_config_round_trip_carries_new_knobs(self, tiny_problem):
-        campaign = FaultCampaign(tiny_problem, inner_iterations=10,
-                                 max_outer=30, site="spmv", fault_rate=2,
-                                 fault_persistence="sticky", trial_timeout=60.0)
-        rebuilt = campaign.to_config().build_campaign()
-        assert rebuilt.site == campaign.site
-        assert rebuilt.fault_rate == campaign.fault_rate
-        assert rebuilt.fault_persistence == campaign.fault_persistence
-        assert rebuilt.trial_timeout == campaign.trial_timeout

@@ -3,8 +3,8 @@
 The contract under test (the PR's acceptance criterion): a campaign
 interrupted at *any* trial boundary and resumed via
 ``run_campaign(..., store=..., resume=True)`` yields a ``CampaignResult``
-trial-identical to an uninterrupted run, on all four execution backends —
-exactly for serial/thread/process, and per the batched engine's documented
+trial-identical to an uninterrupted run, on all three execution backends —
+exactly for serial/sharded, and per the batched engine's documented
 1e-10 residual contract (a resumed batched run re-batches the remaining
 trials, so reduction orders may legally differ at that level).  Includes the
 corrupted-last-line JSONL recovery case and the zero-solve regeneration of
@@ -24,7 +24,7 @@ from repro.api import run_campaign
 from repro.experiments import runner as runner_mod
 from repro.faults.campaign import FaultCampaign
 from repro.gallery.problems import poisson_problem
-from repro.results.store import RunStore, RunStoreError
+from repro.results.store import RunStore, RunStoreError, shard_dir_name
 from repro.specs import CampaignSpec
 
 
@@ -34,8 +34,7 @@ SPEC = dict(inner_iterations=5, max_outer=25, locations=[0, 2, 5, 9])
 #: Execution-backend grid (knobs per backend, as the executor demands).
 BACKENDS = [
     ("serial", {}),
-    ("thread", {"workers": 2}),
-    ("process", {"workers": 2, "chunksize": 1}),
+    ("sharded", {"workers": 2}),
     ("batched", {"batch_size": 3}),
 ]
 
@@ -106,7 +105,7 @@ class TestCrashResumeDeterminism:
             run_campaign(problem, dict(spec), store=store, run_id="r",
                          sink=_Bomb(kill_after))
         persisted = store.completed_indices("r")
-        # at least the observed trials are on disk; the pool/batched
+        # at least the observed trials are on disk; the sharded/batched
         # backends may have persisted more (writes precede observation)
         assert len(persisted) >= kill_after
         assert store.manifest("r").status == "running"
@@ -166,7 +165,7 @@ class TestCrashResumeDeterminism:
         entry: backend/worker knobs are excluded from the fingerprint."""
         store = RunStore(tmp_path)
         with pytest.raises(_InterruptAfter):
-            run_campaign(problem, _spec_with("thread", {"workers": 2}),
+            run_campaign(problem, _spec_with("sharded", {"workers": 2}),
                          store=store, sink=_Bomb(2))
         run_ids = store.run_ids()
         assert len(run_ids) == 1
@@ -201,6 +200,74 @@ class TestCrashResumeDeterminism:
     def test_store_flags_require_store(self, problem):
         with pytest.raises(RunStoreError, match="require store"):
             run_campaign(problem, dict(SPEC), resume=True)
+
+
+# ====================================================================== #
+# the store path resolves the backend like the executor does
+# ====================================================================== #
+def _shard_indices(store: RunStore, run_id: str) -> list[int]:
+    """Trial indices in a run's shard stores, one entry per stored line."""
+    indices = []
+    for shard in store.shard_ids(run_id):
+        path = os.path.join(store.run_path(run_id), shard_dir_name(shard),
+                            "trials.jsonl")
+        with open(path, "r", encoding="utf-8") as handle:
+            indices.extend(json.loads(line)["index"] for line in handle)
+    return sorted(indices)
+
+
+class TestStoredShardedResolution:
+    """workers > 1 (explicit or REPRO_WORKERS) sends a stored run through
+    the supervisor, whose shard stores land in the run directory."""
+
+    def _run_unmerged(self, problem, spec, store, monkeypatch):
+        # Keep the shard stores in place so the test can inspect them.
+        monkeypatch.setattr(RunStore, "merge_shards", lambda self, run_id: None)
+        return run_campaign(problem, spec, store=store, run_id="w")
+
+    def _assert_sharded_once(self, store, result, reference):
+        assert result.trials == reference.trials
+        assert store.shard_ids("w") == [0, 1]
+        # each trial written exactly once, by a shard worker, and never by
+        # the flat writer
+        assert _shard_indices(store, "w") == list(range(len(reference.trials)))
+        assert not os.path.exists(
+            os.path.join(store.run_path("w"), "trials.jsonl"))
+        assert store.load_result("w").trials == reference.trials
+
+    def test_workers_two_without_backend_uses_shard_stores(
+            self, problem, reference, tmp_path, monkeypatch):
+        monkeypatch.delenv("REPRO_WORKERS", raising=False)
+        store = RunStore(tmp_path)
+        result = self._run_unmerged(problem, dict(SPEC, exec={"workers": 2}),
+                                    store, monkeypatch)
+        self._assert_sharded_once(store, result, reference)
+
+    def test_repro_workers_env_uses_shard_stores(self, problem, reference,
+                                                 tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_WORKERS", "2")
+        store = RunStore(tmp_path)
+        result = self._run_unmerged(problem, dict(SPEC), store, monkeypatch)
+        self._assert_sharded_once(store, result, reference)
+
+    def test_flat_serial_run_resumes_under_sharded(self, problem, reference,
+                                                   tmp_path):
+        """exec is outside the fingerprint: a run the serial flat writer
+        started resumes on the supervisor, each trial stored once."""
+        store = RunStore(tmp_path)
+        with pytest.raises(_InterruptAfter):
+            run_campaign(problem, dict(SPEC), store=store, run_id="r",
+                         sink=_Bomb(4))
+        flat = store.completed_indices("r")
+        assert len(flat) >= 4 and store.shard_ids("r") == []
+        resumed = run_campaign(problem, _spec_with("sharded", {"shards": 2}),
+                               store=store, run_id="r", resume=True)
+        assert resumed.trials == reference.trials
+        pairs, torn = store.read_trials("r")
+        assert not torn
+        assert sorted(index for index, _ in pairs) == \
+            list(range(len(reference.trials)))
+        assert store.load_result("r").trials == reference.trials
 
 
 # ====================================================================== #

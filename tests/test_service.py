@@ -19,6 +19,7 @@ import subprocess
 import sys
 import threading
 import time
+import types
 import urllib.request
 
 import pytest
@@ -136,7 +137,7 @@ class TestJobFingerprint:
     def test_exec_knobs_do_not_change_identity(self):
         a = CampaignSpec.coerce(BASE)
         b = CampaignSpec.coerce(dict(BASE, exec={"workers": 4,
-                                                 "backend": "process"}))
+                                                 "backend": "sharded"}))
         assert job_fingerprint(a) == job_fingerprint(b)
 
     def test_problem_is_part_of_identity(self):
@@ -439,6 +440,27 @@ class TestCampaignScheduler:
         jobs = JobStore(tmp_path)
         record, _ = jobs.submit(dict(BASE, problem="no-such-problem:9"))
         scheduler = CampaignScheduler(jobs, max_jobs=1)
+        (final,) = _drive(scheduler, jobs, [record.job_id])
+        assert final.status == "failed"
+        assert "no-such-problem" in final.error
+
+    def test_fast_failing_worker_keeps_its_error(self, tmp_path):
+        """Launch race: a worker that records its error and exits before the
+        parent finishes launching it must not have that error erased."""
+        jobs = JobStore(tmp_path)
+        record, _ = jobs.submit(dict(BASE, problem="no-such-problem:9"))
+        scheduler = CampaignScheduler(jobs, max_jobs=1)
+
+        class ExitsBeforeStartReturns(scheduler._mp.Process):
+            def start(self):
+                super().start()
+                self.join()  # error written, worker gone
+
+        scheduler._mp = types.SimpleNamespace(Process=ExitsBeforeStartReturns)
+        scheduler.tick()
+        launched = jobs.read(record.job_id)
+        assert launched.status == "running"
+        assert "no-such-problem" in launched.error
         (final,) = _drive(scheduler, jobs, [record.job_id])
         assert final.status == "failed"
         assert "no-such-problem" in final.error

@@ -325,9 +325,23 @@ class TestSpecValidation:
 
 
 class TestExecutionSpecKnobs:
-    def test_batch_size_with_process_rejected(self):
+    def test_batch_size_with_sharded_rejected(self):
         with pytest.raises(SpecError, match="batch_size"):
-            ExecutionSpec(backend="process", batch_size=8)
+            ExecutionSpec(backend="sharded", batch_size=8)
+
+    @pytest.mark.parametrize("field,kwargs", [
+        ("backend", {"backend": "process"}),
+        ("backend", {"backend": "thread"}),
+        ("chunksize", {"chunksize": 2}),
+    ], ids=["process", "thread", "chunksize"])
+    def test_retired_pool_knobs_name_the_field(self, field, kwargs):
+        with pytest.raises(SpecError) as exc:
+            ExecutionSpec(**kwargs)
+        assert exc.value.field == field
+        # spec files and queued service jobs go through from_dict
+        with pytest.raises(SpecError) as exc:
+            CampaignSpec.from_dict({"exec": kwargs})
+        assert exc.value.field == f"exec.{field}"
 
     def test_workers_with_serial_rejected(self):
         with pytest.raises(SpecError, match="workers"):
@@ -346,8 +360,9 @@ class TestExecutionSpecKnobs:
             ExecutionSpec(workers=4, batch_size=8)
 
     def test_valid_combinations_accepted(self):
-        ExecutionSpec(backend="process", workers=4, chunksize=2)
-        ExecutionSpec(backend="thread", workers=2)
+        ExecutionSpec(backend="sharded", workers=4)
+        ExecutionSpec(backend="sharded", workers=2, shards=2)
+        ExecutionSpec(workers=2)
         ExecutionSpec(backend="batched", batch_size=16)
         ExecutionSpec()
 
@@ -355,7 +370,7 @@ class TestExecutionSpecKnobs:
         validate_backend_knobs(None, workers=4)
         validate_backend_knobs("batched", batch_size=4)
         with pytest.raises(ValueError, match="batch_size"):
-            validate_backend_knobs("thread", batch_size=4)
+            validate_backend_knobs("sharded", batch_size=4)
         with pytest.raises(ValueError, match="backend"):
             validate_backend_knobs("gpu")
 
@@ -416,13 +431,10 @@ def solve_specs(draw):
 def execution_specs(draw):
     backend = draw(st.sampled_from([None, *BACKENDS]))
     fields = {"backend": backend}
-    allowed = BACKEND_KNOBS[backend] if backend is not None else {"workers", "chunksize"}
+    allowed = BACKEND_KNOBS[backend] if backend is not None else {"workers"}
     if "workers" in allowed:
         fields["workers"] = draw(st.one_of(st.none(),
                                            st.integers(min_value=1, max_value=8)))
-    if "chunksize" in allowed:
-        fields["chunksize"] = draw(st.one_of(st.none(),
-                                             st.integers(min_value=1, max_value=16)))
     if "batch_size" in allowed:
         fields["batch_size"] = draw(st.one_of(st.none(),
                                               st.integers(min_value=1, max_value=64)))
@@ -526,7 +538,7 @@ class TestOverrides:
 
     def test_overridden_spec_revalidates(self):
         with pytest.raises(SpecError, match="batch_size"):
-            apply_overrides(CampaignSpec(), {"exec.backend": "process",
+            apply_overrides(CampaignSpec(), {"exec.backend": "sharded",
                                              "exec.batch_size": 8})
 
     def test_cannot_descend_into_scalar(self):

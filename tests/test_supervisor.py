@@ -216,7 +216,7 @@ class TestQuarantine:
     def test_default_max_retries(self):
         campaign = FaultCampaign(poisson_problem(8), inner_iterations=10,
                                  max_outer=30)
-        supervisor = ShardedSupervisor(campaign.to_config(), shards=2)
+        supervisor = ShardedSupervisor(campaign, shards=2)
         assert supervisor.max_retries == DEFAULT_MAX_RETRIES
 
 
@@ -238,11 +238,12 @@ class TestHardTimeout:
                               store=store, run_id="h", resume=True)
         assert healed.trials == serial_reference.trials
 
-    def test_process_backend_hard_enforces_trial_timeout(self,
-                                                         serial_reference):
-        """Satellite 1: process + trial_timeout routes through the supervisor."""
+    def test_workers_auto_backend_hard_enforces_trial_timeout(
+            self, serial_reference):
+        """workers > 1 without a backend selects the supervisor, which
+        hard-enforces trial_timeout."""
         result = run_campaign(
-            spec=spec_with(backend="process", workers=2, trial_timeout=0.5),
+            spec=spec_with(workers=2, trial_timeout=0.5),
             chaos=ChaosPolicy(hang_before={MID: 60.0}))
         (timed_out,) = [t for t in result.trials if t.status == "error"]
         assert timed_out.error.startswith("hard timeout")
@@ -264,9 +265,8 @@ class TestDrain:
         campaign = FaultCampaign(poisson_problem(8), inner_iterations=10,
                                  max_outer=30)
         plan = campaign.plan(stride=6)
-        supervisor = ShardedSupervisor(campaign.to_config(), shards=2,
-                                       run_dir=str(tmp_path),
-                                       provenance=dict(campaign.provenance))
+        supervisor = ShardedSupervisor(campaign, shards=2,
+                                       run_dir=str(tmp_path))
         yielded = []
         with pytest.raises(SupervisorDrained):
             for index, _ in supervisor.iter_records(plan.specs):
@@ -497,7 +497,7 @@ class TestPlumbing:
         with pytest.raises(BackendKnobError, match="mutually exclusive"):
             CampaignExecutor(campaign, shards=2, workers=4)
         with pytest.raises(BackendKnobError, match="sharded"):
-            CampaignExecutor(campaign, backend="process", shards=2)
+            CampaignExecutor(campaign, backend="batched", shards=2)
         with pytest.raises(BackendKnobError, match="sharded"):
             CampaignExecutor(campaign, max_retries=3)
         with pytest.raises(BackendKnobError, match="sharded"):
@@ -514,7 +514,7 @@ class TestPlumbing:
     def test_registry_metadata(self):
         from repro.registry import backend_knobs
 
-        assert backend_knobs("sharded") == ("shards", "max_retries",
+        assert backend_knobs("sharded") == ("workers", "shards", "max_retries",
                                             "heartbeat_interval")
 
     def test_runner_flags_map_to_exec_spec(self):
