@@ -22,7 +22,7 @@ from repro.core.arnoldi import ArnoldiContext, arnoldi_process
 from repro.core.detectors import HessenbergBoundDetector
 from repro.core.ftgmres import ft_gmres
 from repro.core.gmres import gmres
-from repro.faults.injector import FaultInjector
+from repro.faults.injector import FaultInjector, NullInjector
 from repro.faults.models import PAPER_FAULT_CLASSES
 from repro.faults.schedule import InjectionSchedule
 from repro.sparse.kernels import available_kernels
@@ -98,18 +98,14 @@ def test_kernel_gmres_nohook_fast_path(benchmark, poisson_bench_problem):
     """The zero-overhead Arnoldi branch vs the hooked branch.
 
     The hooked reference runs the identical arithmetic through the
-    injection/detection plumbing with a real (never-firing) injector — the
-    per-coefficient cost every faulted campaign trial pays in all but one
-    iteration.  The recorded ``speedup_vs_hooked`` is the failure-free
-    dividend of the fast path.
+    injection/detection plumbing with a :class:`NullInjector`, which has no
+    step predicate and so is consulted at every site.  The recorded
+    ``speedup_vs_hooked`` is the dividend of the fast path.
     """
     p = poisson_bench_problem
-    schedule = InjectionSchedule(site="hessenberg", aggregate_inner_iteration=-1,
-                                 mgs_position="first")
 
     def hooked():
-        return gmres(p.A, p.b, tol=1e-8, maxiter=300,
-                     injector=FaultInjector(PAPER_FAULT_CLASSES["large"], schedule))
+        return gmres(p.A, p.b, tol=1e-8, maxiter=300, injector=NullInjector())
 
     hooked_seconds = float("inf")
     for _ in range(3):
@@ -131,6 +127,56 @@ def test_kernel_gmres_nohook_fast_path(benchmark, poisson_bench_problem):
     benchmark.extra_info["fast_seconds"] = round(fast_seconds, 4)
     benchmark.extra_info["speedup_vs_hooked"] = round(speedup, 3)
     print(f"\nno-hook fast path: {fast_seconds:.4f}s vs hooked {hooked_seconds:.4f}s "
+          f"-> {speedup:.2f}x")
+
+
+class _AlwaysConsulted:
+    """A fault injector seen without its step predicate: every site of every
+    Arnoldi step goes through the hooks, as before the predicate existed."""
+
+    def __init__(self, injector):
+        self.corrupt_scalar = injector.corrupt_scalar
+        self.corrupt_vector = injector.corrupt_vector
+
+
+def test_kernel_gmres_faulted_inner_solve(benchmark, poisson_bench_problem):
+    """One paper-shaped faulted inner solve: 25 fixed iterations, one
+    transient SDC in the first MGS coefficient of iteration 12, and the
+    bound detector.
+
+    The step predicate keeps every other iteration on the fast path; the
+    reference consults the same injector at every site.  Both must give the
+    identical solve; ``speedup_vs_hooked`` is what the predicate saves.
+    """
+    p = poisson_bench_problem
+    schedule = InjectionSchedule(site="hessenberg", aggregate_inner_iteration=12,
+                                 mgs_position="first")
+
+    def solve(wrap):
+        injector = FaultInjector(PAPER_FAULT_CLASSES["slightly_smaller"], schedule)
+        result = gmres(p.A, p.b, tol=0.0, maxiter=25, detector="bound",
+                       injector=wrap(injector))
+        assert injector.injections_performed == 1
+        return result
+
+    hooked_seconds = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        hooked_result = solve(_AlwaysConsulted)
+        hooked_seconds = min(hooked_seconds, time.perf_counter() - start)
+
+    result = benchmark.pedantic(lambda: solve(lambda injector: injector),
+                                rounds=5, iterations=1)
+
+    assert result.iterations == hooked_result.iterations == 25
+    assert np.array_equal(result.x, hooked_result.x)
+
+    seconds = benchmark.stats.stats.min
+    speedup = hooked_seconds / seconds if seconds > 0 else float("inf")
+    benchmark.extra_info["hooked_seconds"] = round(hooked_seconds, 4)
+    benchmark.extra_info["predicate_seconds"] = round(seconds, 4)
+    benchmark.extra_info["speedup_vs_hooked"] = round(speedup, 3)
+    print(f"\nfaulted inner solve: {seconds:.4f}s vs hooked {hooked_seconds:.4f}s "
           f"-> {speedup:.2f}x")
 
 

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.detectors import Detector
+from repro.core.detectors import Detector, HessenbergBoundDetector
 from repro.core.exceptions import FaultDetectedError
 from repro.sparse.linear_operator import LinearOperator
 from repro.utils.events import EventLog
@@ -63,7 +63,9 @@ class ArnoldiContext:
         A fault injector implementing ``corrupt_scalar(site, value, **ctx)``
         and ``corrupt_vector(site, vec, **ctx)`` (see
         :class:`repro.faults.injector.FaultInjector`).  ``None`` disables
-        injection.
+        injection.  An injector that also implements
+        ``may_fire_at(aggregate_inner_iteration)`` is skipped on every step
+        where that predicate returns ``False`` (see :meth:`may_inject`).
     detector : Detector or None
         Invariant checker applied to every Hessenberg coefficient.  ``None``
         disables detection.
@@ -137,6 +139,19 @@ class ArnoldiContext:
         kwargs = self._ctx_kwargs(self.current_iteration, -1)
         kwargs["mgs_length"] = 0
         return kwargs
+
+    def may_inject(self, iteration: int) -> bool:
+        """Whether the injector may fire at local ``iteration`` of this solve.
+
+        ``False`` only when there is no injector or its ``may_fire_at``
+        predicate rules out every site at the step's aggregate inner
+        iteration; an injector without the predicate is always consulted.
+        """
+        injector = self.injector
+        if injector is None:
+            return False
+        may_fire_at = getattr(injector, "may_fire_at", None)
+        return may_fire_at is None or bool(may_fire_at(self.iteration_offset + iteration))
 
     def inject_scalar(self, site: str, value: float, iteration: int, mgs_index: int = -1,
                       mgs_length: int = 0) -> float:
@@ -257,15 +272,20 @@ def arnoldi_step(
         raise ValueError(
             f"orthogonalization must be 'mgs', 'cgs' or 'cgs2', got {orthogonalization!r}"
         )
-    # Zero-overhead fast path: with no injector and no detector attached
-    # (failure-free solves, and the reliable outer iteration of faulted
-    # trials — faulted *inner* solves keep their injector attached even on
-    # iterations where it never fires) the per-coefficient hook plumbing is
-    # pure overhead, so it is skipped entirely.  Both branches perform the
-    # identical sequence of floating-point operations — the fast path is
-    # bit-for-bit identical to the hooked path with a null context
-    # (asserted in the test suite).
-    fast = ctx.injector is None and ctx.detector is None
+    # Zero-overhead fast path: when the injector cannot fire at this step
+    # (failure-free solves, the reliable outer iteration, and every step of a
+    # faulted inner solve except the scheduled ones) and the detector is
+    # absent or the stateless bound detector, the per-coefficient hook
+    # plumbing is pure overhead, so it is skipped entirely.  The bound
+    # detector then screens the finished column in one vectorized prefilter;
+    # a (conservatively) flagged entry replays the orthogonalization through
+    # the hooked path, whose per-coefficient verdicts and responses are
+    # authoritative.  Both branches perform the identical sequence of
+    # floating-point operations — the fast path is bit-for-bit identical to
+    # the hooked path whenever no hook acts (asserted in the test suite).
+    detector = ctx.detector
+    fast = not ctx.may_inject(j) and (
+        detector is None or isinstance(detector, HessenbergBoundDetector))
     ctx.current_iteration = j
 
     q_j = basis[:, j]
@@ -276,67 +296,77 @@ def arnoldi_step(
     ctx.matvecs += 1
     if not fast:
         v = ctx.inject_vector("spmv", v, iteration=j)
-        if ctx.detector is not None:
-            verdict = ctx.detector.check_vector(v, site="spmv")
-            if verdict.flagged:
-                ctx.events.record(
-                    "fault_detected", where="spmv", outer_iteration=ctx.outer_iteration,
-                    inner_iteration=j, reason=verdict.reason, detector=verdict.detector,
-                    response=ctx.detector_response,
-                )
-                if ctx.detector_response == "raise":
-                    raise FaultDetectedError(verdict)
+    if detector is not None:
+        verdict = detector.check_vector(v, site="spmv")
+        if verdict.flagged:
+            ctx.events.record(
+                "fault_detected", where="spmv", outer_iteration=ctx.outer_iteration,
+                inner_iteration=j, response=ctx.detector_response,
+                aggregate_inner_iteration=ctx.iteration_offset + j,
+                **verdict.event_data(),
+            )
+            if ctx.detector_response == "raise":
+                raise FaultDetectedError(verdict)
 
     h_col = np.zeros(j + 2, dtype=np.float64)
     Q = basis[:, : j + 1]
 
     if fast:
-        v = v.copy()
+        w = v.copy()
         if orthogonalization == "mgs":
             # The dot products and updates go straight to BLAS; a reused
             # scratch buffer avoids one temporary allocation per coefficient
             # (and, when the caller supplies a per-solve workspace, per step).
-            scratch = workspace if workspace is not None else np.empty_like(v)
+            scratch = workspace if workspace is not None else np.empty_like(w)
             for i in range(j + 1):
                 q_i = Q[:, i]
-                h = np.dot(q_i, v)
+                h = np.dot(q_i, w)
                 h_col[i] = h
                 np.multiply(q_i, h, out=scratch)
-                np.subtract(v, scratch, out=v)
+                np.subtract(w, scratch, out=w)
         else:
             passes = 2 if orthogonalization == "cgs2" else 1
             for _ in range(passes):
-                coeffs = Q.T @ v
-                v = v - Q @ coeffs
+                coeffs = Q.T @ w
+                w = w - Q @ coeffs
                 h_col[: j + 1] += coeffs
-        norm_v = float(np.linalg.norm(v))
-    elif orthogonalization == "mgs":
-        v = v.copy()
-        for i in range(j + 1):
-            q_i = Q[:, i]
-            h = float(np.dot(q_i, v))
-            h = ctx.inject_scalar("hessenberg", h, iteration=j, mgs_index=i, mgs_length=j + 1)
-            h = ctx.screen_scalar("hessenberg", h, iteration=j, mgs_index=i,
-                                  recompute=lambda q_i=q_i, v=v: np.dot(q_i, v))
-            h_col[i] = h
-            v = v - h * q_i
-    else:
-        # Classical Gram-Schmidt: all coefficients from the original vector.
-        passes = 2 if orthogonalization == "cgs2" else 1
-        v = v.copy()
-        for _ in range(passes):
-            coeffs = Q.T @ v
+        norm_v = float(np.linalg.norm(w))
+        h_col[j + 1] = norm_v
+        if detector is not None and detector.prefilter(h_col).any():
+            # Replay from the un-orthogonalized ``v`` through the hooks.
+            fast = False
+            h_col[:] = 0.0
+        else:
+            v = w
+
+    if not fast:
+        if orthogonalization == "mgs":
+            v = v.copy()
             for i in range(j + 1):
-                h = float(coeffs[i])
+                q_i = Q[:, i]
+                h = float(np.dot(q_i, v))
                 h = ctx.inject_scalar("hessenberg", h, iteration=j, mgs_index=i,
                                       mgs_length=j + 1)
                 h = ctx.screen_scalar("hessenberg", h, iteration=j, mgs_index=i,
-                                      recompute=lambda i=i: np.dot(Q[:, i], v))
-                coeffs[i] = h
-            v = v - Q @ coeffs
-            h_col[: j + 1] += coeffs
+                                      recompute=lambda q_i=q_i, v=v: np.dot(q_i, v))
+                h_col[i] = h
+                v = v - h * q_i
+        else:
+            # Classical Gram-Schmidt: all coefficients from the original vector.
+            passes = 2 if orthogonalization == "cgs2" else 1
+            v = v.copy()
+            for _ in range(passes):
+                coeffs = Q.T @ v
+                for i in range(j + 1):
+                    h = float(coeffs[i])
+                    h = ctx.inject_scalar("hessenberg", h, iteration=j, mgs_index=i,
+                                          mgs_length=j + 1)
+                    h = ctx.screen_scalar("hessenberg", h, iteration=j, mgs_index=i,
+                                          recompute=lambda i=i: np.dot(Q[:, i], v))
+                    coeffs[i] = h
+                v = v - Q @ coeffs
+                h_col[: j + 1] += coeffs
 
-    if not fast:
         # The orthogonalized-but-unnormalized vector is its own site: a fault
         # here lands *after* the coefficients were computed cleanly, which is
         # a different propagation path than spmv or hessenberg corruption.
@@ -346,7 +376,7 @@ def arnoldi_step(
                                    mgs_length=j + 1)
         norm_v = ctx.screen_scalar("subdiag", norm_v, iteration=j, mgs_index=j + 1,
                                    recompute=lambda: np.linalg.norm(v))
-    h_col[j + 1] = norm_v
+        h_col[j + 1] = norm_v
 
     scale = max(np.abs(h_col[: j + 1]).max() if j + 1 > 0 else 0.0, 1.0)
     if not np.isfinite(norm_v) or norm_v <= HAPPY_BREAKDOWN_TOL * scale:
@@ -362,7 +392,8 @@ def arnoldi_step(
         return h_col, q_next, False
 
     q_next = v / norm_v
-    q_next = ctx.inject_vector("basis", q_next, iteration=j)
+    if not fast:
+        q_next = ctx.inject_vector("basis", q_next, iteration=j)
     basis[:, j + 1] = q_next
     return h_col, q_next, False
 

@@ -21,9 +21,10 @@ Fault injection stays *per trial*: at the one aggregate inner iteration where
 a trial's schedule can fire, the real :class:`~repro.faults.injector.FaultInjector`
 is consulted for that trial's coefficient only, so injection records and event
 streams are produced by the same code path as the serial engine.  Detector
-screening is vectorized with an exact mirror of the
-:class:`~repro.core.detectors.HessenbergBoundDetector` predicate; the (rare)
-flagged coefficients take the scalar detector path so event payloads match.
+screening is vectorized with
+:meth:`~repro.core.detectors.HessenbergBoundDetector.prefilter`, the same
+conservative mirror the serial fast path uses; the (rare) flagged
+coefficients take the scalar detector path so event payloads match.
 
 Equivalence contract (asserted by the test suite and the campaign benchmark):
 per-trial iteration counts, statuses and event streams are identical to the
@@ -468,22 +469,6 @@ def _resolve_block_preconditioner(precond, n: int):
     return op.matmat
 
 
-def _detector_flags(det: HessenbergBoundDetector, values: np.ndarray) -> np.ndarray:
-    """Conservative vectorized prefilter for ``HessenbergBoundDetector``.
-
-    Deliberately *wider* than the scalar predicate (a relative guard band
-    below the bound): every value the prefilter passes goes through the real
-    ``check_scalar``/``check_vector``, whose verdict is authoritative, so
-    widening only costs a scalar re-check — whereas a prefilter that rounds
-    the other way at the bound cusp would silently miss a detection the
-    serial engine records.
-    """
-    flagged = np.abs(values) > det.effective_bound * (1.0 - 1e-12)
-    if det.check_nonfinite:
-        flagged |= ~np.isfinite(values)
-    return flagged
-
-
 def _clone_result(result: SolverResult) -> SolverResult:
     """An independent copy of a shared-prefix inner result for one lane.
 
@@ -875,7 +860,7 @@ class _BatchedNestedSolve:
                                 mgs_index=index,
                                 aggregate_inner_iteration=offset + j)
                         values[pos] = corrupted
-                if detector is not None and (flagged := _detector_flags(detector, values)).any():
+                if detector is not None and (flagged := detector.prefilter(values)).any():
                     site = "hessenberg" if kind == "hessenberg" else "subdiag"
                     for pos in np.flatnonzero(flagged & alive):
                         value = float(values[pos])
@@ -1050,15 +1035,16 @@ class _BatchedNestedSolve:
         """Mirror the hooked Arnoldi step's detector check on ``A q_j``."""
         detector = self.detector
         norms = _row_norms(spmv)
-        flagged = _detector_flags(detector, norms) & alive
+        flagged = detector.prefilter(norms) & alive
         for pos in np.flatnonzero(flagged):
             verdict = detector.check_vector(spmv[pos], site="spmv")
             if not verdict.flagged:
                 continue  # inside the prefilter band, below the bound
             inner_events[pos].record(
                 "fault_detected", where="spmv", outer_iteration=o,
-                inner_iteration=j, reason=verdict.reason,
-                detector=verdict.detector, response=self.response)
+                inner_iteration=j, response=self.response,
+                aggregate_inner_iteration=o * self.inner_budget + j,
+                **verdict.event_data())
             if self.response == "raise":
                 raise FaultDetectedError(verdict)
 

@@ -204,6 +204,22 @@ class HessenbergBoundDetector(Detector):
             )
         return DetectionResult(False, self.name, "", v, self.effective_bound)
 
+    def prefilter(self, values: np.ndarray) -> np.ndarray:
+        """Conservative vectorized mirror of :meth:`check_scalar`.
+
+        Returns a boolean mask over ``values`` that is deliberately *wider*
+        than the scalar predicate (a relative guard band below the bound):
+        every value it passes still goes through the real ``check_scalar``,
+        whose verdict is authoritative, so widening only costs a scalar
+        re-check — whereas a prefilter that rounded the other way at the
+        bound cusp would silently miss a detection.  A value it does not
+        flag is guaranteed to pass ``check_scalar``.
+        """
+        flagged = np.abs(values) > self.effective_bound * (1.0 - 1e-12)
+        if self.check_nonfinite:
+            flagged |= ~np.isfinite(values)
+        return flagged
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"HessenbergBoundDetector(bound={self.bound:.6e}, slack={self.slack})"
 

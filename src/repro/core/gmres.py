@@ -193,7 +193,8 @@ def gmres(
     # The hooked paths consult the injector at the "precond" (preconditioned
     # vector) and "givens" (rotation coefficients) sites with the live
     # iteration context.  Both hooks are None on the fault-free fast path,
-    # which then performs the identical floating-point operations.
+    # which then performs the identical floating-point operations; on steps
+    # where the injector cannot fire they pass their values straight through.
     # Black-box wrappers (repro.faults.targets) are recognized and routed
     # through the live context: their injectors then see real iteration
     # coordinates instead of raw call counts (which non-Arnoldi matvecs —
@@ -207,11 +208,16 @@ def gmres(
     if apply_precond is not None and injector is not None:
         def precond_apply(q, _mi=apply_precond, _ctx=ctx):
             z = np.asarray(_mi(q), dtype=np.float64)
-            return _ctx.inject_vector("precond", z, iteration=_ctx.current_iteration)
+            it = _ctx.current_iteration
+            if not _ctx.may_inject(it):
+                return z
+            return _ctx.inject_vector("precond", z, iteration=it)
     givens_hook = None
     if injector is not None:
         def givens_hook(c, s, _ctx=ctx):
             it = _ctx.current_iteration
+            if not _ctx.may_inject(it):
+                return c, s
             c = _ctx.inject_scalar("givens", c, iteration=it, mgs_index=0, mgs_length=2)
             s = _ctx.inject_scalar("givens", s, iteration=it, mgs_index=1, mgs_length=2)
             return c, s

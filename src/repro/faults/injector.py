@@ -11,7 +11,11 @@ A :class:`FaultInjector` combines
 
 The solver-facing protocol is two methods, ``corrupt_scalar`` and
 ``corrupt_vector``; both receive the full injection context as keyword
-arguments and return the (possibly corrupted) value.
+arguments and return the (possibly corrupted) value.  An optional third,
+``may_fire_at(aggregate_inner_iteration)``, lets the solvers skip both on
+every Arnoldi step where no site can fire: it returns ``False`` only when
+every ``corrupt_*`` call at that aggregate inner iteration would hand its
+input back untouched.  Injectors without it are consulted at every site.
 """
 
 from __future__ import annotations
@@ -115,19 +119,32 @@ class FaultInjector:
     # ------------------------------------------------------------------ #
     # firing logic
     # ------------------------------------------------------------------ #
-    def _may_fire(self, site: str, context: dict) -> bool:
+    def _armed(self) -> bool:
+        """The master switch, the sandbox and the injection cap allow a firing."""
         if not self.enabled:
             return False
         if self.sandbox is not None and not self.sandbox.active:
             return False
-        if not self.schedule.matches(site, **context):
+        # Sticky faults may still be within their window but the explicit
+        # cap always wins.
+        cap = self.schedule.max_injections
+        return cap is None or self.injections_performed < cap
+
+    def may_fire_at(self, aggregate_inner_iteration: int) -> bool:
+        """False only if no site can fire at this aggregate inner iteration.
+
+        A conservative summary of :meth:`_may_fire` over every site and every
+        other context coordinate, consulted once per Arnoldi step.  ``False``
+        guarantees that ``corrupt_scalar``/``corrupt_vector`` at that
+        iteration would return their input and change no state (records,
+        sticky windows, fired points, rng), so the solver may skip them.
+        """
+        return self._armed() and self.schedule.may_match_at(aggregate_inner_iteration)
+
+    def _may_fire(self, site: str, context: dict) -> bool:
+        if not self._armed() or not self.schedule.matches(site, **context):
             return False
         persistence = self.schedule.persistence
-        cap = self.schedule.max_injections
-        if cap is not None and self.injections_performed >= cap:
-            # Sticky faults may still be within their window but the explicit
-            # cap always wins.
-            return False
         if persistence is Persistence.TRANSIENT:
             if getattr(self.schedule, "transient_per_point", False):
                 point = (site, int(context.get("aggregate_inner_iteration", -1)))
@@ -193,7 +210,12 @@ class FaultInjector:
 
 
 class NullInjector:
-    """An injector that never corrupts anything (failure-free baseline runs)."""
+    """An injector that never corrupts anything (failure-free baseline runs).
+
+    It deliberately has no ``may_fire_at``: the solvers then treat it as
+    "may fire" and run every step through the injection hooks, which makes
+    it the way to drive the hooked Arnoldi path with a null context.
+    """
 
     records: list = []
     injections_performed = 0

@@ -142,6 +142,17 @@ class InjectionSchedule:
                 return False
         return True
 
+    def may_match_at(self, aggregate_inner_iteration: int) -> bool:
+        """False only if no call at this aggregate inner iteration can match.
+
+        A conservative, site-independent summary of :meth:`matches` that the
+        solvers consult once per Arnoldi step: ``False`` guarantees that
+        every :meth:`matches` call carrying this ``aggregate_inner_iteration``
+        returns ``False``, whatever its other coordinates.
+        """
+        return (self.aggregate_inner_iteration is None
+                or aggregate_inner_iteration == self.aggregate_inner_iteration)
+
     def describe(self) -> str:
         """One-line description used in experiment reports."""
         parts = [f"site={self.site}"]
@@ -209,19 +220,23 @@ class FaultRateSchedule(InjectionSchedule):
             cap = min(cap, explicit_cap)
         self.max_injections = cap
 
+    def _on_cadence(self, aggregate_inner_iteration: int) -> bool:
+        return (aggregate_inner_iteration >= self.start
+                and (aggregate_inner_iteration - self.start) % self.interval == 0)
+
     def matches(self, site: str, *, aggregate_inner_iteration: int = -1,
                 **context) -> bool:
         """Eligible only at the scheduled cadence points."""
-        if aggregate_inner_iteration < self.start:
-            return False
-        if (aggregate_inner_iteration - self.start) % self.interval != 0:
-            return False
         # The cadence is the location anchor; the base class keeps the
         # site/outer/inner/MGS predicates (its own aggregate anchor stays
         # None unless a caller narrows the cadence to one point on purpose).
-        return super().matches(site,
-                               aggregate_inner_iteration=aggregate_inner_iteration,
-                               **context)
+        return self._on_cadence(aggregate_inner_iteration) and super().matches(
+            site, aggregate_inner_iteration=aggregate_inner_iteration, **context)
+
+    def may_match_at(self, aggregate_inner_iteration: int) -> bool:
+        """False off the cadence points (and off the base anchor, if any)."""
+        return (self._on_cadence(aggregate_inner_iteration)
+                and super().may_match_at(aggregate_inner_iteration))
 
     def describe(self) -> str:
         base = super().describe()

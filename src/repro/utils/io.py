@@ -5,7 +5,8 @@ heartbeats, service job records, the daemon pidfile — must reach disk
 through :func:`atomic_write_json`.  The pattern is the classic POSIX
 atomic replace:
 
-1. serialize into a same-directory temporary file (``<path>.<pid>.tmp``),
+1. serialize into a uniquely named same-directory temporary file
+   (``<name>.<random>.tmp``),
 2. flush, and
 3. ``os.replace`` the temporary over the destination.
 
@@ -26,22 +27,32 @@ from __future__ import annotations
 
 import json
 import os
+import tempfile
 from typing import Any, Callable
 
 __all__ = ["atomic_write_json", "atomic_write_text"]
+
+# ``mkstemp`` creates owner-only files; durable records keep the permissions
+# a plain ``open`` would have given them.  The umask can only be read by
+# setting it, so it is read once, at import.
+_UMASK = os.umask(0o022)
+os.umask(_UMASK)
 
 
 def atomic_write_text(path: str, text: str) -> None:
     """Atomically replace ``path`` with ``text`` (UTF-8).
 
-    The temporary sibling embeds the writer's PID so concurrent writers
-    from different processes never collide on the same temporary name;
-    last ``os.replace`` wins, and each replace is atomic.
+    Every call writes its own uniquely named temporary sibling, so
+    concurrent writers — other processes or other threads of this one —
+    never share, and never consume, each other's temporary file; last
+    ``os.replace`` wins, and each replace is atomic.
     """
     path = str(path)
-    tmp = f"{path}.{os.getpid()}.tmp"
+    directory, name = os.path.split(os.path.abspath(path))
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=f"{name}.", suffix=".tmp")
     try:
-        with open(tmp, "w", encoding="utf-8") as handle:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            os.fchmod(fd, 0o666 & ~_UMASK)
             handle.write(text)
             handle.flush()
         os.replace(tmp, path)

@@ -1,13 +1,17 @@
-"""Unit tests for repro.utils (validation, RNG, timer, events)."""
+"""Unit tests for repro.utils (validation, RNG, timer, events, io)."""
 
 from __future__ import annotations
 
+import json
+import os
+import threading
 import time
 
 import numpy as np
 import pytest
 
 from repro.utils.events import EventLog, SolverEvent
+from repro.utils.io import atomic_write_json, atomic_write_text
 from repro.utils.rng import as_generator, spawn_generators
 from repro.utils.timer import Timer
 from repro.utils.validation import (
@@ -175,3 +179,42 @@ class TestEventLog:
         log.record("second")
         assert log[0].kind == "first"
         assert log[-1].kind == "second"
+
+
+class TestAtomicWrite:
+    def test_threads_of_one_process_never_collide(self, tmp_path):
+        """Writers in one process used to share a PID-keyed temporary, so one
+        thread's replace consumed another's half-written file."""
+        target = tmp_path / "record.json"
+        errors = []
+
+        def writer(tid):
+            try:
+                for i in range(2000):
+                    atomic_write_json(target, {"thread": tid, "i": i})
+            except Exception as exc:  # pragma: no cover - the regression
+                errors.append(exc)
+
+        threads = [threading.Thread(target=writer, args=(t,)) for t in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert errors == []
+        assert json.loads(target.read_text())["i"] == 1999
+        assert os.listdir(tmp_path) == ["record.json"]
+
+    def test_failed_write_leaves_no_temporary(self, tmp_path):
+        target = tmp_path / "record.txt"
+        atomic_write_text(target, "old\n")
+        with pytest.raises(UnicodeEncodeError):
+            atomic_write_text(target, "\ud800")
+        assert target.read_text() == "old\n"
+        assert os.listdir(tmp_path) == ["record.txt"]
+
+    def test_permissions_follow_the_umask(self, tmp_path):
+        umask = os.umask(0o022)
+        os.umask(umask)
+        target = tmp_path / "record.txt"
+        atomic_write_text(target, "x")
+        assert target.stat().st_mode & 0o777 == 0o666 & ~umask
