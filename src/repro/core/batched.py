@@ -469,27 +469,6 @@ def _resolve_block_preconditioner(precond, n: int):
     return op.matmat
 
 
-def _clone_result(result: SolverResult) -> SolverResult:
-    """An independent copy of a shared-prefix inner result for one lane.
-
-    Serial campaigns build one result object per trial; virgin lanes riding
-    the shared prefix column must not alias each other's mutable pieces.
-    """
-    history = ConvergenceHistory()
-    history.residual_norms = list(result.history.residual_norms)
-    events = EventLog()
-    events.extend(result.events)
-    return SolverResult(
-        x=result.x.copy(),
-        status=result.status,
-        iterations=result.iterations,
-        residual_norm=result.residual_norm,
-        history=history,
-        events=events,
-        matvecs=result.matvecs,
-    )
-
-
 class _Trial:
     """Mutable per-trial bookkeeping inside one batched run."""
 
@@ -644,7 +623,7 @@ class _BatchedNestedSolve:
                     shared = inner_solver_results[pos_rep]
                     z_rep = X_inner[pos_rep]
                     for lane in virgin_lanes:
-                        result = shared if lane == rep else _clone_result(shared)
+                        result = shared if lane == rep else shared.clone()
                         Zj[lane] = self._deliver_inner(
                             self.trials[lane], result, z_rep, j)
             Z.append(Zj)

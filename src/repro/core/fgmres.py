@@ -34,6 +34,9 @@ __all__ = ["FGMRESParameters", "fgmres"]
 #: Relative threshold below which ``h_{j+1,j}`` triggers the breakdown logic.
 BREAKDOWN_TOL = 1e-12
 
+#: Outer basis columns allocated up front; the bases double from here.
+INITIAL_BASIS_COLUMNS = 8
+
 
 @dataclass
 class FGMRESParameters:
@@ -202,15 +205,23 @@ def fgmres(
         return SolverResult(x, SolverStatus.CONVERGED, 0, beta, history, events, matvecs)
 
     # Fortran order: basis columns are the unit of access in the
-    # orthogonalization and update kernels, so keep them contiguous.
-    Q = np.zeros((n, max_outer + 1), dtype=np.float64, order="F")
-    Z = np.zeros((n, max_outer), dtype=np.float64, order="F")
+    # orthogonalization and update kernels, so keep them contiguous.  The
+    # bases grow on demand (doubling) so memory tracks the iterations used,
+    # not ``max_outer``; column slices of a larger Fortran array have the
+    # same layout, so the arithmetic does not depend on the capacity.
+    capacity = min(max_outer, INITIAL_BASIS_COLUMNS)
+    Q = np.zeros((n, capacity + 1), dtype=np.float64, order="F")
+    Z = np.zeros((n, capacity), dtype=np.float64, order="F")
     Q[:, 0] = r / beta
     hess = HessenbergMatrix(max_outer, beta)
 
     status = SolverStatus.MAX_ITERATIONS
     k = 0
     for j in range(max_outer):
+        if j == capacity:
+            capacity = min(2 * capacity, max_outer)
+            Q = _grown(Q, j + 1, capacity + 1)
+            Z = _grown(Z, j, capacity)
         q_j = Q[:, j]
         # ----- inner solve (the "apply current preconditioner" step) -------
         if inner_solver is None:
@@ -334,6 +345,13 @@ def fgmres(
         events=events,
         matvecs=matvecs,
     )
+
+
+def _grown(basis: np.ndarray, used: int, columns: int) -> np.ndarray:
+    """A zeroed Fortran-order copy of ``basis`` with ``columns`` columns."""
+    out = np.zeros((basis.shape[0], columns), dtype=np.float64, order="F")
+    out[:, :used] = basis[:, :used]
+    return out
 
 
 def _screen_outer(h: float, z_norm: float, detector: Detector | None, response: str,

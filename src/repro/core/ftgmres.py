@@ -17,13 +17,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.detectors import HessenbergBoundDetector
 from repro.core.fgmres import FGMRESParameters, fgmres
 from repro.core.gmres import GMRESParameters, gmres
 from repro.core.status import NestedSolverResult, SolverResult, SolverStatus
 from repro.sparse.linear_operator import aslinearoperator
 from repro.utils.events import EventLog
 
-__all__ = ["FTGMRESParameters", "ft_gmres"]
+__all__ = ["FTGMRESParameters", "FailureFreePrefix", "ft_gmres"]
 
 
 @dataclass
@@ -50,6 +51,98 @@ class FTGMRESParameters:
         return self.inner.maxiter if self.inner.maxiter is not None else 25
 
 
+class FailureFreePrefix:
+    """The failure-free inner solves of one nested-solve configuration.
+
+    Under the sandbox model the outer FGMRES phase is reliable, and an inner
+    solve whose injector cannot fire anywhere in its iteration window is a
+    pure function of its right-hand side ``q_j``.  A fault campaign's trials
+    therefore repeat the failure-free run, inner solve for inner solve, up
+    to the outer iteration that holds their fault.  This record keeps those
+    solves, keyed by outer iteration ``j``: each entry is the failure-free
+    ``q_j`` and an independent copy of the inner solve's result.
+    :func:`ft_gmres` (``prefix=``) fills it and takes an entry instead of
+    recomputing it only when the live ``q_j`` is bitwise equal to the
+    stored one, so a reused entry is exactly what the solve would return.
+
+    A record belongs to one operator and inner configuration, bound on
+    first use; passing it with another raises ``ValueError``.
+    """
+
+    def __init__(self) -> None:
+        self._entries: dict[int, tuple[np.ndarray, SolverResult]] = {}
+        self._owner: tuple | None = None
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def bind(self, A, inner: GMRESParameters) -> None:
+        """Tie the record to the operator and inner configuration it describes.
+
+        Later calls must pass the same operator, preconditioner and detector
+        objects and equal plain settings.
+        """
+        owner = (A, *vars(inner).values())
+        if self._owner is None:
+            self._owner = owner
+        elif not all(a is b or (isinstance(a, (int, float, str)) and a == b)
+                     for a, b in zip(self._owner, owner)):
+            raise ValueError("this FailureFreePrefix records the inner solves of "
+                             "another operator or inner configuration")
+
+    def lookup(self, outer_iteration: int, q_j: np.ndarray) -> SolverResult | None:
+        """A copy of the stored solve at ``outer_iteration``, or None.
+
+        The stored right-hand side must equal ``q_j`` bit for bit (an
+        ``array_equal`` would also accept ``-0.0`` for ``0.0``).
+        """
+        entry = self._entries.get(outer_iteration)
+        if entry is None:
+            return None
+        rhs, result = entry
+        live = np.ascontiguousarray(q_j, dtype=np.float64)
+        if live.shape != rhs.shape or not np.array_equal(live.view(np.uint64),
+                                                         rhs.view(np.uint64)):
+            return None
+        return result.clone()
+
+    def record(self, outer_iteration: int, q_j: np.ndarray, result: SolverResult) -> None:
+        """Store the solve at ``outer_iteration`` unless one is already kept."""
+        if outer_iteration not in self._entries:
+            self._entries[outer_iteration] = (
+                np.array(q_j, dtype=np.float64, copy=True), result.clone())
+
+
+def _prefix_eligible(op, inner: GMRESParameters, profile, own_sandbox: bool) -> bool:
+    """Whether an inert inner solve is a pure function of its right-hand side.
+
+    A stateful detector (say ``NormGrowthDetector``, whose running maximum
+    carries across solves), a kernel profile (which must see every solve),
+    a caller's sandbox, and the black-box fault wrappers of
+    :mod:`repro.faults.targets` (which bring their own injectors) all rule
+    the record out.
+    """
+    detector = inner.detector
+    return (profile is None and not own_sandbox
+            and (detector is None or isinstance(detector, HessenbergBoundDetector))
+            and getattr(op, "matvec_in_context", None) is None
+            and getattr(inner.preconditioner, "apply_in_context", None) is None)
+
+
+def _inert(injector, offset: int, budget: int) -> bool:
+    """No site can fire at any aggregate iteration in ``[offset, offset + budget)``.
+
+    An injector without ``may_fire_at`` is never inert.  Asked inside the
+    sandbox, since an injector is only armed there.
+    """
+    if injector is None:
+        return True
+    may_fire_at = getattr(injector, "may_fire_at", None)
+    if may_fire_at is None:
+        return False
+    return not any(may_fire_at(a) for a in range(offset, offset + budget))
+
+
 def ft_gmres(
     A,
     b,
@@ -63,6 +156,7 @@ def ft_gmres(
     sandbox=None,
     events: EventLog | None = None,
     profile=None,
+    prefix: FailureFreePrefix | None = None,
 ) -> NestedSolverResult:
     """Solve ``A x = b`` with the fault-tolerant nested FT-GMRES iteration.
 
@@ -99,6 +193,18 @@ def ft_gmres(
         *inner* solve into this :class:`~repro.utils.profile.KernelProfile`.
         ``None`` (default) performs no timing; profiled runs are bit-identical
         to unprofiled ones (see :func:`repro.core.gmres.gmres`).
+    prefix : FailureFreePrefix, optional
+        Record of failure-free inner solves to take instead of recomputing
+        them.  An inner solve reuses the entry of its outer iteration only
+        when the injector is ``None`` or its ``may_fire_at`` rules out every
+        aggregate iteration of the solve's window, and the stored ``q_j``
+        is bitwise equal to the live one; it records itself while every
+        inner solve so far in this call was such an inert solve.  The
+        record is ignored altogether (every solve computed) when the inner
+        detector is neither ``None`` nor a ``HessenbergBoundDetector``, when
+        ``profile`` or ``sandbox`` is given, or when ``A`` or the inner
+        preconditioner is a :mod:`repro.faults.targets` wrapper.  Results
+        are identical with and without it.
 
     Returns
     -------
@@ -114,6 +220,13 @@ def ft_gmres(
         params = FTGMRESParameters(outer=params.outer,
                                    inner=params.inner.replace(maxiter=inner_iterations))
 
+    op = aslinearoperator(A)
+    if prefix is not None:
+        if _prefix_eligible(op, params.inner, profile, own_sandbox=sandbox is not None):
+            prefix.bind(A, params.inner)
+        else:
+            prefix = None
+
     if sandbox is None and injector is not None:
         from repro.faults.sandbox import Sandbox
 
@@ -122,8 +235,6 @@ def ft_gmres(
         injector.attach_sandbox(sandbox)
 
     events = EventLog.ensure(events)
-    op = aslinearoperator(A)
-    n = op.shape[0]
     inner_budget = params.inner_iterations
     inner_results: list[SolverResult] = []
 
@@ -134,31 +245,43 @@ def ft_gmres(
     # `inner_iterations` steps per invocation.
     inner_kwargs["restart"] = inner_budget
 
+    # Whether every inner solve so far was inert: only such a run's solves
+    # are the failure-free ones the prefix record keeps.
+    failure_free_so_far = True
+
+    def solve(q_j: np.ndarray, outer_iteration: int) -> SolverResult:
+        nonlocal failure_free_so_far
+        offset = outer_iteration * inner_budget
+        inert = prefix is not None and _inert(injector, offset, inner_budget)
+        if inert:
+            reused = prefix.lookup(outer_iteration, q_j)
+            if reused is not None:
+                return reused
+        result = gmres(
+            A,
+            q_j,
+            injector=injector,
+            events=EventLog(),
+            profile=profile,
+            outer_iteration=outer_iteration,
+            inner_solve_index=outer_iteration,
+            iteration_offset=offset,
+            **inner_kwargs,
+        )
+        failure_free_so_far = failure_free_so_far and inert
+        if failure_free_so_far:
+            prefix.record(outer_iteration, q_j, result)
+        return result
+
     def inner_solver(q_j: np.ndarray, outer_iteration: int) -> np.ndarray:
         """One unreliable inner solve: approximately solve ``A z = q_j``."""
-        inner_events = EventLog()
-        offset = outer_iteration * inner_budget
-
-        def run() -> SolverResult:
-            return gmres(
-                A,
-                q_j,
-                injector=injector,
-                events=inner_events,
-                profile=profile,
-                outer_iteration=outer_iteration,
-                inner_solve_index=outer_iteration,
-                iteration_offset=offset,
-                **inner_kwargs,
-            )
-
         if sandbox is not None:
             with sandbox:
-                result = run()
+                result = solve(q_j, outer_iteration)
         else:
-            result = run()
+            result = solve(q_j, outer_iteration)
         inner_results.append(result)
-        events.extend(inner_events)
+        events.extend(result.events)
         return result.x
 
     outer = params.outer

@@ -132,6 +132,29 @@ class SolverResult:
         """True if the solver reported convergence or a happy breakdown."""
         return self.status in (SolverStatus.CONVERGED, SolverStatus.HAPPY_BREAKDOWN)
 
+    def clone(self) -> "SolverResult":
+        """An independent copy: own solution vector, history and event log.
+
+        Used wherever one computed inner solve is handed to several nested
+        solves (shared prefixes), so no two results alias each other's
+        mutable pieces.  The events themselves are immutable and shared; a
+        kernel profile, an accumulator by design, is carried by reference.
+        """
+        history = ConvergenceHistory()
+        history.residual_norms = list(self.history.residual_norms)
+        events = EventLog()
+        events.extend(self.events)
+        return SolverResult(
+            x=self.x.copy(),
+            status=self.status,
+            iterations=self.iterations,
+            residual_norm=self.residual_norm,
+            history=history,
+            events=events,
+            matvecs=self.matvecs,
+            profile=self.profile,
+        )
+
     def summary(self) -> dict:
         """The headline fields (common result schema, ``kind="solver"``)."""
         out = {

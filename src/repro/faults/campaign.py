@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.detectors import Detector
-from repro.core.ftgmres import FTGMRESParameters, ft_gmres
+from repro.core.ftgmres import FailureFreePrefix, FTGMRESParameters, ft_gmres
 from repro.core.gmres import GMRESParameters
 from repro.core.fgmres import FGMRESParameters
 from repro.core.status import NestedSolverResult
@@ -406,6 +406,9 @@ class FaultCampaign:
             outer = outer.replace(detector=resolve_detector(
                 outer.detector, A=problem.A, bound_method=outer.bound_method))
         self.params = FTGMRESParameters(outer=outer, inner=inner)
+        #: The failure-free inner solves, shared by the baseline and every
+        #: trial (see :class:`~repro.core.ftgmres.FailureFreePrefix`).
+        self.prefix = FailureFreePrefix()
         #: Provenance stamped onto every record this campaign produces.
         #: ``spec_hash`` stays ``None`` for keyword-constructed campaigns and
         #: is filled by :meth:`from_spec` (only a spec has a hashable form).
@@ -494,7 +497,8 @@ class FaultCampaign:
 
     def run_failure_free(self) -> NestedSolverResult:
         """Run the nested solver without any fault injection."""
-        return ft_gmres(self.problem.A, self.problem.b, self.problem.x0, params=self.params)
+        return ft_gmres(self.problem.A, self.problem.b, self.problem.x0, params=self.params,
+                        prefix=self.prefix)
 
     def _trial_schedule(self, aggregate_inner_iteration: int) -> InjectionSchedule:
         """The injection schedule of one campaign trial.
@@ -552,7 +556,7 @@ class FaultCampaign:
         timer = Timer()
         with timer:
             result = ft_gmres(self.problem.A, self.problem.b, self.problem.x0,
-                              params=self.params, injector=injector)
+                              params=self.params, injector=injector, prefix=self.prefix)
         return TrialRecord(
             fault_class=fault_class,
             fault_description=model.describe(),
@@ -939,6 +943,10 @@ class FaultCampaign:
             flips, :class:`NormGrowthDetector`) start each shard worker from
             this process's post-baseline state and then see only their
             shard's history, so sweep them with ``backend="serial"``.
+            Trials take the failure-free inner solves up to their fault
+            from :attr:`prefix` instead of recomputing them; a stateful
+            inner detector switches that off, so such components see every
+            solve (see :class:`~repro.core.ftgmres.FailureFreePrefix`).
         """
         from repro.registry import resolve_sink
 

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import importlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,10 @@ from repro.core.gmres import gmres
 from repro.core.status import SolverStatus
 from repro.precond.jacobi import JacobiPreconditioner
 from repro.precond.ilu import ILU0Preconditioner
+from repro.sparse.csr import CSRMatrix
+
+# ``repro.core`` re-exports the function under the module's name.
+fgmres_module = importlib.import_module("repro.core.fgmres")
 
 
 class TestBasicBehaviour:
@@ -186,3 +193,38 @@ class TestNoDetectorFastPath:
         result = fgmres(poisson_medium, b, tol=1e-9, max_outer=5,
                         detector=HessenbergBoundDetector(1e-30), detector_response="flag")
         assert result.events.of_kind("fault_detected")
+
+
+class TestBasisGrowth:
+    """The outer bases grow on demand instead of holding max_outer columns."""
+
+    def test_memory_tracks_iterations_used(self):
+        # Four distinct eigenvalues: FGMRES with the identity inner solver
+        # converges in four iterations whatever max_outer allows.
+        n = 4000
+        A = CSRMatrix.identity(n)
+        A.data[:] = np.repeat([1.0, 2.0, 3.0, 4.0], n // 4)
+        b = np.ones(n)
+        tracemalloc.start()
+        try:
+            result = fgmres(A, b, tol=1e-10, max_outer=100)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.converged and result.iterations <= 5
+        # Q and Z at their initial capacity plus O(1) work and kernel
+        # vectors (about 30 columns), against 201 columns for bases sized
+        # by max_outer up front.
+        assert peak < 50 * n * 8
+
+    @pytest.mark.parametrize("orth", ["mgs", "cgs", "cgs2"])
+    def test_growth_does_not_change_the_arithmetic(self, poisson_medium, rng, orth,
+                                                   monkeypatch):
+        b = rng.standard_normal(poisson_medium.shape[0])
+        kwargs = dict(tol=1e-12, max_outer=60, orthogonalization=orth)
+        grown = fgmres(poisson_medium, b, **kwargs)
+        assert grown.iterations > 2 * fgmres_module.INITIAL_BASIS_COLUMNS
+        monkeypatch.setattr(fgmres_module, "INITIAL_BASIS_COLUMNS", 1000)
+        full = fgmres(poisson_medium, b, **kwargs)
+        assert grown.x.tobytes() == full.x.tobytes()
+        assert grown.history.as_array().tobytes() == full.history.as_array().tobytes()

@@ -265,8 +265,13 @@ class TestDrain:
         campaign = FaultCampaign(poisson_problem(8), inner_iterations=10,
                                  max_outer=30)
         plan = campaign.plan(stride=6)
+        # Each shard's trials after its first two stall, so the drain lands
+        # mid-campaign however fast the trials are.
+        stalled = {spec.index: 1.5 for block in partition_shards(plan.specs, 2)
+                   for spec in block[2:]}
         supervisor = ShardedSupervisor(campaign, shards=2,
-                                       run_dir=str(tmp_path))
+                                       run_dir=str(tmp_path),
+                                       chaos=ChaosPolicy(hang_before=stalled))
         yielded = []
         with pytest.raises(SupervisorDrained):
             for index, _ in supervisor.iter_records(plan.specs):
