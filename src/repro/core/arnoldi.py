@@ -34,6 +34,7 @@ figures use.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -98,6 +99,11 @@ class ArnoldiContext:
         (maintained by :func:`arnoldi_step`).  Lets code *called from inside*
         a step — preconditioner closures, bound operator wrappers — report
         real iteration context to the injector instead of a placeholder.
+    current_may_inject : bool
+        The :meth:`may_inject` verdict of the step currently executing
+        (maintained by :func:`arnoldi_step`).  The solvers' ``precond`` and
+        ``givens`` hooks return at once when it is ``False`` instead of
+        asking the injector's predicate again.
     """
 
     injector: object | None = None
@@ -109,6 +115,7 @@ class ArnoldiContext:
     iteration_offset: int = 0
     matvecs: int = 0
     current_iteration: int = -1
+    current_may_inject: bool = field(default=True, init=False)
 
     def __post_init__(self) -> None:
         if self.detector_response not in VALID_RESPONSES:
@@ -283,8 +290,17 @@ def arnoldi_step(
     # authoritative.  Both branches perform the identical sequence of
     # floating-point operations — the fast path is bit-for-bit identical to
     # the hooked path whenever no hook acts (asserted in the test suite).
+    # The fast branch is also written for the fewest interpreter round-trips
+    # per coefficient; each rewrite is the same kernel NumPy would reach
+    # anyway (``q.dot(w)`` is ``np.dot``'s ddot, ``np.linalg.norm`` of a 1-D
+    # float64 vector is ``sqrt(w.dot(w))``, a positional ``out`` and an
+    # in-place divide change where the result is written, not its value).
+    # The predicate is asked once per step: the ``precond``/``givens`` hooks
+    # read its verdict from ``ctx.current_may_inject``.
     detector = ctx.detector
-    fast = not ctx.may_inject(j) and (
+    may_inject = ctx.may_inject(j)
+    ctx.current_may_inject = may_inject
+    fast = not may_inject and (
         detector is None or isinstance(detector, HessenbergBoundDetector))
     ctx.current_iteration = j
 
@@ -317,20 +333,21 @@ def arnoldi_step(
             # The dot products and updates go straight to BLAS; a reused
             # scratch buffer avoids one temporary allocation per coefficient
             # (and, when the caller supplies a per-solve workspace, per step).
+            # Rows of ``basis.T`` are the same column views as ``Q[:, i]``.
             scratch = workspace if workspace is not None else np.empty_like(w)
-            for i in range(j + 1):
-                q_i = Q[:, i]
-                h = np.dot(q_i, w)
+            multiply, subtract = np.multiply, np.subtract
+            for i, q_i in enumerate(basis.T[: j + 1]):
+                h = q_i.dot(w)
                 h_col[i] = h
-                np.multiply(q_i, h, out=scratch)
-                np.subtract(w, scratch, out=w)
+                multiply(q_i, h, scratch)
+                subtract(w, scratch, w)
         else:
             passes = 2 if orthogonalization == "cgs2" else 1
             for _ in range(passes):
                 coeffs = Q.T @ w
                 w = w - Q @ coeffs
                 h_col[: j + 1] += coeffs
-        norm_v = float(np.linalg.norm(w))
+        norm_v = math.sqrt(w.dot(w))
         h_col[j + 1] = norm_v
         if detector is not None and detector.prefilter(h_col).any():
             # Replay from the un-orthogonalized ``v`` through the hooks.
@@ -379,8 +396,8 @@ def arnoldi_step(
         h_col[j + 1] = norm_v
 
     scale = max(np.abs(h_col[: j + 1]).max() if j + 1 > 0 else 0.0, 1.0)
-    if not np.isfinite(norm_v) or norm_v <= HAPPY_BREAKDOWN_TOL * scale:
-        if np.isfinite(norm_v):
+    if not math.isfinite(norm_v) or norm_v <= HAPPY_BREAKDOWN_TOL * scale:
+        if math.isfinite(norm_v):
             ctx.events.record("happy_breakdown", where="subdiag",
                               outer_iteration=ctx.outer_iteration, inner_iteration=j,
                               value=norm_v)
@@ -391,9 +408,10 @@ def arnoldi_step(
         basis[:, j + 1] = q_next
         return h_col, q_next, False
 
-    q_next = v / norm_v
-    if not fast:
-        q_next = ctx.inject_vector("basis", q_next, iteration=j)
+    if fast:
+        # The same elementwise division, written straight into the basis.
+        return h_col, np.divide(v, norm_v, basis[:, j + 1]), False
+    q_next = ctx.inject_vector("basis", v / norm_v, iteration=j)
     basis[:, j + 1] = q_next
     return h_col, q_next, False
 

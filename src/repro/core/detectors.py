@@ -14,6 +14,7 @@ how to respond to a positive verdict (see the ``detector_response`` option of
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,7 +92,14 @@ class Detector:
 
     def check_vector(self, vec: np.ndarray, site: str = "") -> DetectionResult:
         """Return a verdict on a vector (default: check its 2-norm)."""
-        nrm = float(np.linalg.norm(np.asarray(vec, dtype=np.float64)))
+        if type(vec) is np.ndarray and vec.ndim == 1 and vec.dtype == np.float64:
+            # Exactly what ``np.linalg.norm`` computes for a float64 vector,
+            # without its dispatch: the flattened vector's self dot product
+            # (a contiguous copy when strided), then a correctly rounded sqrt.
+            flat = vec.ravel(order="K")
+            nrm = math.sqrt(flat.dot(flat))
+        else:
+            nrm = float(np.linalg.norm(np.asarray(vec, dtype=np.float64)))
         return self.check_scalar(nrm, site=site)
 
     def reset(self) -> None:
@@ -191,7 +199,7 @@ class HessenbergBoundDetector(Detector):
 
     def check_scalar(self, value: float, site: str = "") -> DetectionResult:
         v = float(value)
-        if self.check_nonfinite and not np.isfinite(v):
+        if self.check_nonfinite and not math.isfinite(v):
             return DetectionResult(True, self.name,
                                    f"non-finite value at {site or 'hessenberg'}", v, self.effective_bound)
         if abs(v) > self.effective_bound:

@@ -15,6 +15,7 @@ Gram–Schmidt), extended with:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from time import perf_counter as _perf_counter
 
@@ -194,7 +195,10 @@ def gmres(
     # vector) and "givens" (rotation coefficients) sites with the live
     # iteration context.  Both hooks are None on the fault-free fast path,
     # which then performs the identical floating-point operations; on steps
-    # where the injector cannot fire they pass their values straight through.
+    # where the injector cannot fire they pass their values straight through:
+    # at once when the step's predicate verdict (``ctx.current_may_inject``)
+    # is False, and otherwise after asking the predicate again, since a
+    # fault fired earlier in the step may have spent the injector's cap.
     # Black-box wrappers (repro.faults.targets) are recognized and routed
     # through the live context: their injectors then see real iteration
     # coordinates instead of raw call counts (which non-Arnoldi matvecs —
@@ -208,6 +212,8 @@ def gmres(
     if apply_precond is not None and injector is not None:
         def precond_apply(q, _mi=apply_precond, _ctx=ctx):
             z = np.asarray(_mi(q), dtype=np.float64)
+            if not _ctx.current_may_inject:
+                return z
             it = _ctx.current_iteration
             if not _ctx.may_inject(it):
                 return z
@@ -215,6 +221,8 @@ def gmres(
     givens_hook = None
     if injector is not None:
         def givens_hook(c, s, _ctx=ctx):
+            if not _ctx.current_may_inject:
+                return c, s
             it = _ctx.current_iteration
             if not _ctx.may_inject(it):
                 return c, s
@@ -306,7 +314,7 @@ def gmres(
             if breakdown:
                 cycle_status = SolverStatus.HAPPY_BREAKDOWN
                 break
-            if np.isfinite(resid_est) and resid_est <= target:
+            if math.isfinite(resid_est) and resid_est <= target:
                 cycle_status = SolverStatus.CONVERGED
                 break
 

@@ -81,7 +81,9 @@ class HessenbergMatrix:
         j = self.k
         if j >= self.max_columns:
             raise RuntimeError("HessenbergMatrix is full; increase max_columns")
-        column = np.asarray(column, dtype=np.float64).ravel()
+        if not (type(column) is np.ndarray and column.ndim == 1
+                and column.dtype == np.float64):
+            column = np.asarray(column, dtype=np.float64).ravel()
         if column.shape[0] != j + 2:
             raise ValueError(
                 f"column {j} must have {j + 2} entries, got {column.shape[0]}"

@@ -25,6 +25,7 @@ let you verify that claim (see ``benchmarks/bench_ablation_lsq.py``).
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 
 import numpy as np
@@ -66,20 +67,22 @@ def givens_rotation(a: float, b: float) -> tuple[float, float]:
     ``1e+150``-scaled faults of the paper) by normalizing by the larger
     magnitude first.  Non-finite inputs yield a NaN rotation so downstream
     arithmetic stays non-finite (the solver's IEEE-754 detection sees it)
-    rather than raising.
+    rather than raising.  The scalar ``math`` functions compute the same
+    IEEE-754 results as their NumPy counterparts (square root is correctly
+    rounded) without NumPy's per-call dispatch.
     """
     if b == 0.0:
         return 1.0, 0.0
     if a == 0.0:
         return 0.0, 1.0
-    if not (np.isfinite(a) and np.isfinite(b)):
+    if not (math.isfinite(a) and math.isfinite(b)):
         return float("nan"), float("nan")
     if abs(b) > abs(a):
         t = a / b
-        s = 1.0 / np.sqrt(1.0 + t * t)
+        s = 1.0 / math.sqrt(1.0 + t * t)
         return s * t, s
     t = b / a
-    c = 1.0 / np.sqrt(1.0 + t * t)
+    c = 1.0 / math.sqrt(1.0 + t * t)
     return c, c * t
 
 
@@ -161,7 +164,10 @@ class IncrementalGivensQR:
         if j >= self.max_columns:
             raise RuntimeError("IncrementalGivensQR is full; increase max_columns")
         cs, sn = self._cs, self._sn
-        r = [float(v) for v in column]
+        if type(column) is np.ndarray and column.ndim == 1 and column.dtype == np.float64:
+            r = column.tolist()  # the same Python floats, in one call
+        else:
+            r = [float(v) for v in column]
         if len(r) != j + 2:
             raise ValueError(f"column {j} must have {j + 2} entries, got {len(r)}")
 

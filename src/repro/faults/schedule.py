@@ -65,7 +65,9 @@ class InjectionSchedule:
     mgs_position : {"first", "last", int, None}
         Position within the orthogonalization loop: ``"first"`` (the paper's
         Figure 3a/4a), ``"last"`` (Figure 3b/4b), an explicit 0-based index,
-        or ``None`` for any position.
+        or ``None`` for any position.  It filters the per-coefficient sites
+        (``hessenberg``, and ``givens`` over its ``(c, s)`` pair); the
+        ``subdiag`` value lies outside the loop and is never filtered.
     persistence : Persistence or str
         Transient (default, the paper's model), sticky, or persistent.
     sticky_count : int
@@ -133,7 +135,10 @@ class InjectionSchedule:
             return False
         if self.inner_iteration is not None and inner_iteration != self.inner_iteration:
             return False
-        if self.mgs_position is not None and mgs_index >= 0:
+        # The subdiagonal is one value computed after the MGS loop (offered
+        # at ``mgs_index = j + 1``), so a position within the loop does not
+        # select it: a subdiag schedule fires whatever its ``mgs_position``.
+        if self.mgs_position is not None and mgs_index >= 0 and site != "subdiag":
             if self.mgs_position == "first" and mgs_index != 0:
                 return False
             if self.mgs_position == "last" and mgs_index != max(mgs_length - 1, 0):

@@ -11,19 +11,22 @@ These tests pin down that doing so changes nothing:
   with the predicate as built and with it forced to "may fire" everywhere;
 * a fast Arnoldi step with the bound detector is bit-identical to the
   hooked step, with and without a flagged coefficient forcing the replay;
-* the injector is consulted only on the firing step of a paper trial;
+* the injector is consulted only on the firing step of a paper trial, and
+  its step predicate once per step that cannot fire;
 * every ``fault_detected`` event, ``spmv`` included, carries one schema.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import importlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.ftgmres as ftgmres_module
 import repro.faults.campaign as campaign_module
 from repro.core.arnoldi import VALID_RESPONSES, ArnoldiContext, arnoldi_process
 from repro.core.batched import BatchedTrialSetup, batched_ft_gmres
@@ -38,6 +41,9 @@ from repro.faults.sandbox import Sandbox
 from repro.faults.schedule import KNOWN_SITES, FaultRateSchedule, InjectionSchedule
 from repro.gallery.problems import poisson_problem
 from repro.precond.jacobi import JacobiPreconditioner
+
+# ``repro.core`` re-exports the ``gmres`` function under the module's name.
+gmres_module = importlib.import_module("repro.core.gmres")
 
 
 @pytest.fixture(scope="module")
@@ -208,10 +214,7 @@ class TestEndToEndIdentity:
         built = _traced_run(campaign, locations, monkeypatch, always_may_fire=False)
         hooked = _traced_run(campaign, locations, monkeypatch, always_may_fire=True)
         assert built == hooked
-        if site != "subdiag":
-            # Campaign schedules pin an MGS position, which the subdiagonal
-            # (consulted past the last coefficient) never matches.
-            assert "InjectionRecord" in "".join(t[0] for t in built[1])
+        assert "InjectionRecord" in "".join(t[0] for t in built[1])
 
 
 # --------------------------------------------------------------------------- #
@@ -284,26 +287,79 @@ class TestBoundDetectorFastStep:
 # --------------------------------------------------------------------------- #
 def test_injector_consulted_only_on_the_firing_step(monkeypatch):
     """A paper trial (transient, hessenberg, first MGS position) consults the
-    injector's scalar hook on the firing step only — at most one call per
-    coefficient plus the subdiagonal and the two Givens coefficients."""
+    injector's hooks on the firing step only.  That step offers the spmv
+    vector, its ``j + 1`` coefficients, the subdiagonal, the orthogonalized
+    and the normalized vector; the first coefficient spends the injection
+    cap, so the Givens hook declines without calling ``corrupt_scalar``."""
     problem = poisson_problem(grid_n=8, seed=7)
     campaign = FaultCampaign(problem, inner_iterations=10, max_outer=30)
     assert (campaign.site, campaign.mgs_position) == ("hessenberg", "first")
-    calls = []
-    real = FaultInjector.corrupt_scalar
+    calls = {"scalar": [], "vector": []}
+    real_scalar, real_vector = FaultInjector.corrupt_scalar, FaultInjector.corrupt_vector
 
-    def counting(self, site, value, **context):
-        calls.append(site)
-        return real(self, site, value, **context)
+    def counting_scalar(self, site, value, **context):
+        calls["scalar"].append(site)
+        return real_scalar(self, site, value, **context)
 
-    monkeypatch.setattr(FaultInjector, "corrupt_scalar", counting)
+    def counting_vector(self, site, vec, **context):
+        calls["vector"].append(site)
+        return real_vector(self, site, vec, **context)
+
+    monkeypatch.setattr(FaultInjector, "corrupt_scalar", counting_scalar)
+    monkeypatch.setattr(FaultInjector, "corrupt_vector", counting_vector)
+    total = campaign.run_failure_free().total_inner_iterations
+    for location in range(0, total, 7):
+        j = location % campaign.inner_iterations
+        for name, model in campaign.fault_classes.items():
+            calls["scalar"].clear()
+            calls["vector"].clear()
+            record = campaign.run_single(name, model, location)
+            assert record.faults_injected == 1
+            assert calls["scalar"] == ["hessenberg"] * (j + 1) + ["subdiag"], (name, location)
+            assert calls["vector"] == ["spmv", "orth", "basis"], (name, location)
+
+
+def test_one_predicate_call_per_step(monkeypatch):
+    """The step predicate is asked once per Arnoldi step that cannot fire:
+    the Givens (and precond) hooks read the step's stored verdict instead of
+    asking again.  Only the scheduled step, whose verdict is ``True``, asks
+    again in its hooks, since its own fault may have spent the cap."""
+    problem = poisson_problem(grid_n=8, seed=7)
+    campaign = FaultCampaign(problem, inner_iterations=10, max_outer=30)
+    steps = []  # the predicate verdicts asked during each inner Arnoldi step
+    in_solve = []
+    real_step, real_gmres = gmres_module.arnoldi_step, ftgmres_module.gmres
+    real_may_fire_at = FaultInjector.may_fire_at
+
+    def step(*args, **kwargs):
+        steps.append([])
+        return real_step(*args, **kwargs)
+
+    def inner_solve(*args, **kwargs):
+        in_solve.append(True)
+        try:
+            return real_gmres(*args, **kwargs)
+        finally:
+            in_solve.pop()
+
+    def may_fire_at(self, aggregate):
+        verdict = real_may_fire_at(self, aggregate)
+        if in_solve:
+            steps[-1].append(verdict)
+        return verdict
+
+    monkeypatch.setattr(gmres_module, "arnoldi_step", step)
+    monkeypatch.setattr(ftgmres_module, "gmres", inner_solve)
+    monkeypatch.setattr(FaultInjector, "may_fire_at", may_fire_at)
     total = campaign.run_failure_free().total_inner_iterations
     for location in range(0, total, 7):
         for name, model in campaign.fault_classes.items():
-            calls.clear()
-            record = campaign.run_single(name, model, location)
-            assert record.faults_injected == 1
-            assert 1 <= len(calls) <= campaign.inner_iterations + 3, (name, location)
+            steps.clear()
+            assert campaign.run_single(name, model, location).faults_injected == 1
+            quiet = [asked for asked in steps if not asked[0]]
+            scheduled = [asked for asked in steps if asked[0]]
+            assert quiet and all(len(asked) == 1 for asked in quiet), (name, location)
+            assert len(scheduled) == 1 and len(scheduled[0]) == 2, (name, location)
 
 
 # --------------------------------------------------------------------------- #

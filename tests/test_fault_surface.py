@@ -437,6 +437,62 @@ class TestSiteCampaignsAcrossBackends:
 
 
 # --------------------------------------------------------------------------- #
+# subdiag site: the pinned MGS position must not filter it out
+# --------------------------------------------------------------------------- #
+def _matches_position_filters_every_site(self, site, *, outer_iteration=-1,
+                                         inner_solve_index=-1, inner_iteration=-1,
+                                         aggregate_inner_iteration=-1, mgs_index=-1,
+                                         mgs_length=0, **_ignored):
+    """``InjectionSchedule.matches`` as it was when ``mgs_position`` also
+    filtered the subdiagonal (which it then never matched)."""
+    if not self.matches_site(site):
+        return False
+    if (self.aggregate_inner_iteration is not None
+            and aggregate_inner_iteration != self.aggregate_inner_iteration):
+        return False
+    if self.outer_iteration is not None and outer_iteration != self.outer_iteration:
+        return False
+    if self.inner_iteration is not None and inner_iteration != self.inner_iteration:
+        return False
+    if self.mgs_position is not None and mgs_index >= 0:
+        if self.mgs_position == "first" and mgs_index != 0:
+            return False
+        if self.mgs_position == "last" and mgs_index != max(mgs_length - 1, 0):
+            return False
+        if isinstance(self.mgs_position, int) and mgs_index != self.mgs_position:
+            return False
+    return True
+
+
+class TestSubdiagCampaigns:
+    @pytest.mark.parametrize("position", ["first", "last"])
+    def test_every_trial_injects_once(self, tiny_problem, position):
+        campaign = FaultCampaign(tiny_problem, inner_iterations=10, max_outer=30,
+                                 site="subdiag", mgs_position=position)
+        trials = campaign.run(stride=7).trials
+        assert trials and [t.faults_injected for t in trials] == [1] * len(trials)
+
+    @pytest.mark.parametrize("position", ["first", "last"])
+    def test_hessenberg_campaigns_unchanged(self, tiny_problem, monkeypatch, position):
+        campaign = FaultCampaign(tiny_problem, inner_iterations=10, max_outer=30,
+                                 site="hessenberg", mgs_position=position)
+        live = campaign.run(stride=7).trials
+        monkeypatch.setattr(InjectionSchedule, "matches",
+                            _matches_position_filters_every_site)
+        assert campaign.run(stride=7).trials == live
+
+    @pytest.mark.parametrize("position", ["first", "last", 0])
+    def test_outer_subdiag_fires_at_any_position(self, tiny_problem, position):
+        injector = FaultInjector(
+            ScalingFault(1.5),
+            InjectionSchedule(site="subdiag", aggregate_inner_iteration=2,
+                              mgs_position=position))
+        fgmres(tiny_problem.A, tiny_problem.b, inner_solver=lambda q, j: q.copy(),
+               tol=1e-10, max_outer=8, injector=injector)
+        assert [r.site for r in injector.records] == ["subdiag"]
+
+
+# --------------------------------------------------------------------------- #
 # crash isolation: error records, soft timeouts, resume semantics
 # --------------------------------------------------------------------------- #
 class ExplodingFault(FaultModel):
